@@ -1,9 +1,8 @@
 // Sharded keystream-engine throughput: keystreams/sec for the single-byte
 // and consecutive-digraph accumulators, comparing
-//   * the scalar Rc4 path (--interleave=1) against the dispatched lane
-//     kernel (src/rc4/kernel_registry.h: scalar round-robin, ssse3, avx2 or
-//     neon; --kernel forces one) on one thread — the single-core headline,
-//     and
+//   * the scalar Rc4 path (--interleave=1) against the interleaved lane
+//     kernel (src/rc4/kernel_registry.h: Rc4MultiStream at --interleave,
+//     default 8) on one thread — the single-core headline, and
 //   * one shard against all cores — the sharding headline.
 // Every run re-checks the engine's two bit-exactness guarantees: the multi
 // grid equals the scalar grid, and the sharded merge equals the
@@ -94,19 +93,19 @@ int Run(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) {
     return 0;
   }
-  const auto [keys, parsed_threads, seed, requested_interleave, kernel_flag] =
+  const auto [keys, parsed_threads, seed, requested_interleave] =
       GetScaleFlags(flags, scale);
   const size_t positions = static_cast<size_t>(flags.GetUint("positions"));
   const unsigned threads =
       parsed_threads != 0 ? parsed_threads : DefaultWorkerCount();
   // The same dispatch decision the engine will make, surfaced up front so
   // stdout and the JSON record the kernel the numbers belong to.
-  const KernelChoice choice = ResolveKernelChoice(kernel_flag, requested_interleave);
+  const KernelChoice choice = ResolveKernelChoice("", requested_interleave);
 
   bench::PrintHeader(
       "bench_engine_sharded",
       "Sect. 3.2 dataset generation (engine substrate for Fig. 4-10, Tab. 1-2)",
-      "keystreams/sec: scalar vs dispatched lane kernel (1 thread), then all "
+      "keystreams/sec: scalar vs interleaved lane kernel (1 thread), then all "
       "cores; every run re-checks both bit-exactness guarantees");
   std::printf(
       "keys=%llu positions=%zu threads=%u (hardware: %u) kernel=%.*s "
@@ -119,7 +118,6 @@ int Run(int argc, char** argv) {
   EngineOptions base;
   base.keys = keys;
   base.seed = seed;
-  base.kernel = kernel_flag;
 
   bench::JsonTrajectory json("engine_sharded");
   json.Add("keys", static_cast<uint64_t>(keys));

@@ -74,7 +74,6 @@ int Run(int argc, char** argv) {
   params.workers = scale_values.workers;
   params.seed = scale_values.seed;
   params.interleave = scale_values.interleave;
-  params.kernel = scale_values.kernel;
   params.samples = flags.GetUint("samples");
   params.budget = flags.GetUint("budget");
   params.model_keys = flags.GetUint("model-keys");

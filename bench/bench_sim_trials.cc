@@ -40,10 +40,9 @@ int Run(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) {
     return 0;
   }
-  const auto [trial_count, parsed_threads, seed, interleave, kernel] =
+  const auto [trial_count, parsed_threads, seed, interleave] =
       GetScaleFlags(flags, scale);
   (void)interleave;  // no keystream-engine stage in this sim-only bench
-  (void)kernel;
 
   bench::PrintHeader("bench_sim_trials",
                      "Sect. 5/6 Monte-Carlo simulations (Figs. 7-10 substrate)",

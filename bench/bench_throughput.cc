@@ -17,7 +17,6 @@
 #include "src/crypto/hmac.h"
 #include "src/crypto/michael.h"
 #include "src/crypto/sha1.h"
-#include "src/rc4/kernel.h"
 #include "src/rc4/kernel_registry.h"
 #include "src/rc4/rc4.h"
 #include "src/rc4/rc4_multi.h"
@@ -93,51 +92,6 @@ BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 4)->Arg(256);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 8)->Arg(256)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 16)->Arg(256);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 32)->Arg(256);
-
-// Registered lane kernels (scalar round-robin, ssse3/avx2/neon where the
-// build + CPU allow), each at its preferred width — the heads-up comparison
-// behind tools/autotune's verdict. Registered at runtime in main() because
-// availability is a host property, not a compile-time one.
-void BM_LaneKernelKsa(benchmark::State& state, const KernelDesc* desc) {
-  const size_t width = desc->preferred_width;
-  const auto kernel = desc->make(width);
-  const Bytes keys = RandomBytes(width * 16, 23);
-  for (auto _ : state) {
-    kernel->Init(keys, 16);
-    benchmark::DoNotOptimize(kernel.get());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(width));
-}
-
-void BM_LaneKernelKeystream(benchmark::State& state, const KernelDesc* desc) {
-  const size_t width = desc->preferred_width;
-  const auto kernel = desc->make(width);
-  const Bytes keys = RandomBytes(width * 16, 24);
-  kernel->Init(keys, 16);
-  const size_t length = static_cast<size_t>(state.range(0));
-  Bytes buffer(width * length);
-  for (auto _ : state) {
-    kernel->Keystream(buffer.data(), length, length);
-    benchmark::DoNotOptimize(buffer.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(width * length));
-}
-
-void RegisterLaneKernelBenchmarks() {
-  for (const KernelDesc& desc : KernelRegistry()) {
-    if (!desc.Available()) {
-      continue;
-    }
-    const std::string name(desc.name);
-    benchmark::RegisterBenchmark(("BM_LaneKernelKsa/" + name).c_str(),
-                                 BM_LaneKernelKsa, &desc);
-    benchmark::RegisterBenchmark(("BM_LaneKernelKeystream/" + name).c_str(),
-                                 BM_LaneKernelKeystream, &desc)
-        ->Arg(256)
-        ->Arg(4096);
-  }
-}
 
 void BM_AesCtr(benchmark::State& state) {
   Aes128Ctr ctr(RandomBytes(16, 3));
@@ -343,7 +297,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  rc4b::RegisterLaneKernelBenchmarks();
   rc4b::bench::JsonTrajectory json("throughput");
   json.Add("cpu_features", rc4b::CpuFeatureString());
   rc4b::TrajectoryReporter reporter(json);

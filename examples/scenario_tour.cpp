@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   params.workers = scale_values.workers;
   params.seed = scale_values.seed;
   params.interleave = scale_values.interleave;
-  params.kernel = scale_values.kernel;
 
   for (const recovery::Scenario* scenario : registry.List()) {
     std::printf("\nrunning %s (%llu trials)...\n", scenario->name().c_str(),

@@ -31,7 +31,6 @@ EngineOptions ToEngineOptions(const DatasetOptions& options) {
   engine.workers = options.workers;
   engine.seed = options.seed;
   engine.interleave = options.interleave;
-  engine.kernel = options.kernel;
   engine.first_key = options.first_key;
   return engine;
 }
@@ -44,7 +43,6 @@ LongTermEngineOptions ToLongTermOptions(const LongTermOptions& options) {
   engine.workers = options.workers;
   engine.seed = options.seed;
   engine.interleave = options.interleave;
-  engine.kernel = options.kernel;
   engine.first_key = options.first_key;
   // 64 KiB windows; the engine consumes every whole 256-byte block of
   // bytes_per_key regardless of the window size.

@@ -29,9 +29,6 @@ struct DatasetOptions {
   // RC4 streams generated in lockstep (0 = auto, 1 = scalar); counts are
   // bit-identical for any width — see EngineOptions::interleave.
   size_t interleave = 0;
-  // Lane-kernel name ("" = auto); bit-identical for any kernel — see
-  // EngineOptions::kernel.
-  std::string kernel;
   // Global index of the first key: the dataset covers keys [first_key,
   // first_key + keys) of the seed's stream. Nonzero when a shard of a
   // distributed generation run (src/store/manifest.h) computes its slice.
@@ -66,7 +63,6 @@ struct LongTermOptions {
   unsigned workers = 0;
   uint64_t seed = 1;  // shared AES-CTR stream seed (worker-count invariant)
   size_t interleave = 0;   // lockstep stream count (0 = auto, 1 = scalar)
-  std::string kernel;      // lane-kernel name ("" = auto)
   uint64_t first_key = 0;  // global key-range offset (see DatasetOptions)
   std::string cache_dir;   // GridCache directory (digraph dataset only)
 };

@@ -83,10 +83,7 @@ FlagSet& DefineScaleFlags(FlagSet& flags, const ScaleFlagSpec& spec) {
       .Define("seed", spec.seed_default, spec.seed_help)
       .Define("interleave", "0",
               "RC4 streams per lockstep group (0 = auto, 1 = scalar; "
-              "rounds down to a supported width)")
-      .Define("kernel", "",
-              "RC4 lane kernel (scalar|ssse3|avx2|neon; \"\" = auto: "
-              "$RC4B_KERNEL, else autotune cache, else best for this CPU)");
+              "rounds down to a supported width)");
 }
 
 ScaleFlagValues GetScaleFlags(const FlagSet& flags, const ScaleFlagSpec& spec) {
@@ -95,7 +92,6 @@ ScaleFlagValues GetScaleFlags(const FlagSet& flags, const ScaleFlagSpec& spec) {
   values.workers = static_cast<unsigned>(flags.GetUint(spec.workers_flag));
   values.seed = flags.GetUint("seed");
   values.interleave = static_cast<size_t>(flags.GetUint("interleave"));
-  values.kernel = flags.GetString("kernel");
   return values;
 }
 

@@ -45,12 +45,10 @@ class FlagSet {
 // binaries: a count flag (--keys for dataset generators, --sims for
 // Monte-Carlo harnesses, --trials for scenario runs), a worker-count flag
 // (--workers, or --threads where the binary sweeps worker counts itself),
-// --seed, --interleave (EngineOptions::interleave: RC4 streams generated
-// in lockstep, 0 = auto, 1 = scalar), and --kernel (EngineOptions::kernel:
-// lane-kernel name from src/rc4/kernel_registry.h, "" = auto) — results are
-// bit-identical for any width and kernel, so both are purely perf knobs;
-// binaries that never touch the keystream engine accept and ignore them for
-// flag uniformity).
+// --seed, and --interleave (EngineOptions::interleave: RC4 streams
+// generated in lockstep, 0 = auto, 1 = scalar — results are bit-identical
+// for any width, so it is purely a perf knob; binaries that never touch the
+// keystream engine accept and ignore it for flag uniformity).
 // bench/harness.h shares the printing; these helpers share the parsing, so
 // every binary spells the common knobs the same way.
 struct ScaleFlagSpec {
@@ -68,14 +66,13 @@ struct ScaleFlagValues {
   unsigned workers = 0;
   uint64_t seed = 0;
   size_t interleave = 0;
-  std::string kernel;
 };
 
-// Registers the spec's five flags on `flags`; returns `flags` for chaining
+// Registers the spec's four flags on `flags`; returns `flags` for chaining
 // additional binary-specific Define calls.
 FlagSet& DefineScaleFlags(FlagSet& flags, const ScaleFlagSpec& spec);
 
-// Reads the five values back after Parse().
+// Reads the four values back after Parse().
 ScaleFlagValues GetScaleFlags(const FlagSet& flags, const ScaleFlagSpec& spec);
 
 }  // namespace rc4b

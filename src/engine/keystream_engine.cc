@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/rc4/autotune.h"
 #include "src/rc4/keygen.h"
 #include "src/rc4/kernel.h"
 #include "src/rc4/kernel_registry.h"
@@ -30,17 +29,8 @@ void GatherKeys(Rc4KeyGenerator& keygen, size_t lanes, uint8_t* out) {
   }
 }
 
-// batch_keys == 0 consumes the host's cached autotune choice (the tuner
-// sweeps batch sizes alongside kernels/widths); without a valid cache the
-// historical default stands.
 size_t ResolveBatchKeys(size_t requested) {
-  if (requested != 0) {
-    return requested;
-  }
-  if (const auto cached = ValidCachedAutotuneChoice()) {
-    return cached->batch_keys;
-  }
-  return 256;
+  return requested != 0 ? requested : 256;
 }
 
 // ------------------------------------------------------------------------
@@ -236,7 +226,7 @@ void RunLongTermEngine(const LongTermEngineOptions& options,
   plan.full_chunks = owned_per_key / plan.chunk;
   plan.tail = static_cast<size_t>(owned_per_key % plan.chunk);
   plan.drop = options.drop + accumulator.ExtraDrop();
-  const KernelChoice choice = ResolveKernelChoice(options.kernel, options.interleave);
+  const KernelChoice choice = ResolveKernelChoice("", options.interleave);
   std::mutex merge_mutex;
   ParallelChunks(options.keys, options.workers,
                  [&](unsigned /*shard*/, uint64_t begin, uint64_t end) {

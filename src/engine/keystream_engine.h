@@ -83,20 +83,17 @@ struct EngineOptions {
   // in-process shards rely on.
   uint64_t first_key = 0;
   uint64_t drop = 0;  // initial keystream bytes discarded per key
-  // Keystreams per generated batch; 0 = auto (the host's cached autotune
-  // choice when $RC4B_AUTOTUNE_CACHE is valid, else 256).
+  // Keystreams per generated batch; 0 = auto (256).
   size_t batch_keys = 256;
-  // RC4 streams generated in lockstep: 0 = auto, 1 = scalar Rc4, other
-  // values round down to the nearest width the selected kernel supports
-  // (logged once when rounding changes the value). Batches are
-  // byte-identical for every width and every kernel — a kernel only
+  // RC4 streams generated in lockstep: 0 = auto (kDefaultInterleave), 1 =
+  // scalar Rc4, other values round down to the nearest entry of
+  // kInterleaveWidths (logged once when rounding changes the value).
+  // Batches are byte-identical for every width — interleaving only
   // reorders the schedule, never the per-key math.
   size_t interleave = 0;
-  // Lane-kernel selection (src/rc4/kernel_registry.h): "" = auto
-  // ($RC4B_KERNEL env, else the cached autotune choice, else the best
-  // kernel the CPU supports), or an explicit registered name ("scalar",
-  // "ssse3", "avx2", "neon"). Unknown/unavailable names warn once and fall
-  // back to scalar; interleave = 1 is always the scalar oracle.
+  // Lane-kernel name (src/rc4/kernel_registry.h): only "", "auto" and
+  // "scalar" are accepted, and all three select the one scalar kernel. Any
+  // other name warns once and falls back to scalar.
   std::string kernel;
 };
 
@@ -164,8 +161,6 @@ struct LongTermEngineOptions {
   // Keys generated in lockstep per shard (see EngineOptions::interleave and
   // the StreamShardSink window-ordering note above). 0 = auto, 1 = scalar.
   size_t interleave = 0;
-  // Lane-kernel selection, same semantics as EngineOptions::kernel.
-  std::string kernel;
 };
 
 // Streams `bytes_per_key` keystream bytes per key (rounded down to whole

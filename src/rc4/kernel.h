@@ -1,15 +1,12 @@
 // Type-erased RC4 lane kernel: W independent RC4 streams advanced in
-// lockstep behind one virtual interface, so the engine can swap generation
-// strategies (scalar round-robin, SSSE3/AVX2/NEON transposed lanes) at
-// runtime without changing a single consumer.
+// lockstep behind one virtual interface, so the engine picks the lane count
+// at runtime without changing a single consumer. The only implementation is
+// Rc4MultiStream<W> (src/rc4/kernel_registry.cc).
 //
 // The contract is exactly Rc4MultiStream's (src/rc4/rc4_multi.h): after
 // Init() with W keys, lane m's byte sequence is bit-identical to a scalar
 // Rc4 over key m — a kernel only reorders the schedule, never the per-key
-// math. tests/rc4/kernel_sweep_test.cc pins every registered kernel against
-// the scalar oracle; a kernel that cannot keep this promise must not be
-// registered (the autotuner additionally re-verifies before trusting any
-// timing, src/rc4/autotune.h).
+// math. tests/rc4/rc4_multi_test.cc pins this for every supported width.
 #ifndef SRC_RC4_KERNEL_H_
 #define SRC_RC4_KERNEL_H_
 

@@ -2,77 +2,16 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
-#include <vector>
 
-#include "src/rc4/autotune.h"
 #include "src/rc4/rc4_multi.h"
 
 namespace rc4b {
 
-// ISA kernel factories (kernel_ssse3.cc / kernel_avx2.cc / kernel_avx512.cc
-// / kernel_neon.cc); each TU degrades to a stub reporting Compiled() == false
-// when built without its ISA, so referencing them is safe in every
-// configuration.
-bool Ssse3KernelCompiled();
-std::unique_ptr<Rc4LaneKernel> MakeSsse3Kernel(size_t width);
-bool Avx2KernelCompiled();
-std::unique_ptr<Rc4LaneKernel> MakeAvx2Kernel(size_t width);
-bool Avx512KernelCompiled();
-std::unique_ptr<Rc4LaneKernel> MakeAvx512Kernel(size_t width);
-bool NeonKernelCompiled();
-std::unique_ptr<Rc4LaneKernel> MakeNeonKernel(size_t width);
-
 namespace {
 
-// ------------------------------------------------------------------ CPU --
-
-bool CpuHasSsse3() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("ssse3");
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-// Everything the kernel actually executes: F (gathers, 512-bit moves), BW
-// (byte adds at 512 bits), VBMI (byte shuffles the compiler may emit for the
-// lane loops under -mavx512vbmi).
-bool CpuHasAvx512() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512vbmi");
-#else
-  return false;
-#endif
-}
-
-// Advanced SIMD is architecturally baseline on aarch64: compiled == usable.
-bool CpuHasNeon() {
-#if defined(__aarch64__) || defined(__ARM_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool AlwaysTrue() { return true; }
-
-// --------------------------------------------------------------- scalar --
-
-// The oracle: Rc4MultiStream behind the kernel interface. Init() re-runs
-// the KSA by re-emplacing the stream object, which is exactly what the
-// pre-registry engine did once per lockstep group.
+// Rc4MultiStream behind the kernel interface. Init() re-runs the KSA by
+// re-emplacing the stream object, once per lockstep group.
 template <size_t M>
 class ScalarLaneKernel final : public Rc4LaneKernel {
  public:
@@ -106,49 +45,23 @@ std::unique_ptr<Rc4LaneKernel> MakeScalarKernel(size_t width) {
       return std::make_unique<ScalarLaneKernel<16>>();
     case 32:
       return std::make_unique<ScalarLaneKernel<32>>();
-    case 64:
-      return std::make_unique<ScalarLaneKernel<64>>();
     default:
       return nullptr;
   }
 }
 
-// ------------------------------------------------------------- registry --
-
-constexpr size_t kScalarWidths[] = {1, 2, 4, 8, 16, 32, 64};
-constexpr size_t kLane16Widths[] = {16};
-constexpr size_t kLane32Widths[] = {32};
-constexpr size_t kLane64Widths[] = {64};
-
-const std::vector<KernelDesc>& Registry() {
-  // Scalar first (enumeration baseline), then ISA kernels by ascending
-  // vector width; priority orders auto-dispatch preference independently.
-  static const std::vector<KernelDesc> kernels = {
-      {"scalar", "", kScalarWidths, kDefaultInterleave, /*priority=*/0, AlwaysTrue,
-       AlwaysTrue, MakeScalarKernel},
-      {"ssse3", "ssse3", kLane16Widths, 16, /*priority=*/10, Ssse3KernelCompiled,
-       CpuHasSsse3, MakeSsse3Kernel},
-      {"neon", "neon", kLane16Widths, 16, /*priority=*/10, NeonKernelCompiled,
-       CpuHasNeon, MakeNeonKernel},
-      {"avx2", "avx2", kLane32Widths, 32, /*priority=*/20, Avx2KernelCompiled,
-       CpuHasAvx2, MakeAvx2Kernel},
-      {"avx512", "avx512f,avx512bw,avx512vbmi", kLane64Widths, 64,
-       /*priority=*/30, Avx512KernelCompiled, CpuHasAvx512, MakeAvx512Kernel},
-  };
-  return kernels;
-}
+constexpr KernelDesc kScalarKernel = {"scalar", MakeScalarKernel};
 
 void WarnKernelFallbackOnce(std::string_view name) {
   static std::atomic<bool> warned{false};
   if (!warned.exchange(true)) {
     std::fprintf(stderr,
-                 "rc4b: kernel '%.*s' is unknown or unsupported on this "
-                 "CPU/build; falling back to scalar\n",
+                 "rc4b: kernel '%.*s' is unknown; falling back to scalar\n",
                  static_cast<int>(name.size()), name.data());
   }
 }
 
-// The PR-5 ResolveInterleave rounding was silent; say what happened, once.
+// ResolveInterleave rounds silently; say what happened, once.
 void LogResolvedWidthOnce(const KernelChoice& choice) {
   if (choice.requested == 0 || choice.width == choice.requested) {
     return;
@@ -156,125 +69,53 @@ void LogResolvedWidthOnce(const KernelChoice& choice) {
   static std::atomic<bool> logged{false};
   if (!logged.exchange(true)) {
     std::fprintf(stderr,
-                 "rc4b: interleave %zu resolved to %zu (kernel %.*s); record "
-                 "both values when comparing bench trajectories\n",
-                 choice.requested, choice.width,
-                 static_cast<int>(choice.kernel->name.size()),
-                 choice.kernel->name.data());
+                 "rc4b: interleave %zu resolved to %zu; record both values "
+                 "when comparing bench trajectories\n",
+                 choice.requested, choice.width);
   }
 }
 
-// Width for `kernel` under an explicit request: the widest supported lane
-// count not above the (PR-5 semantics) resolved request. Returns 0 when the
-// kernel cannot run that narrow — the caller falls back to scalar, keeping
-// an explicit --interleave authoritative over kernel preference.
-size_t WidthForRequest(const KernelDesc& kernel, size_t target) {
-  size_t width = 0;
-  for (const size_t w : kernel.widths) {
-    if (w <= target) {
-      width = w;
-    }
+#if defined(__x86_64__) || defined(__i386__)
+void AppendFeature(std::string& features, const char* feature) {
+  if (!features.empty()) {
+    features.push_back(',');
   }
-  return width;
+  features.append(feature);
 }
-
-KernelChoice FinishChoice(const KernelDesc& kernel, size_t requested) {
-  KernelChoice choice;
-  choice.requested = requested;
-  if (requested == 0) {
-    choice.kernel = &kernel;
-    choice.width = kernel.preferred_width;
-    return choice;
-  }
-  const size_t target = ResolveInterleave(requested);
-  const size_t width = WidthForRequest(kernel, target);
-  if (width == 0) {
-    choice.kernel = &ScalarKernelDesc();
-    choice.width = target;
-  } else {
-    choice.kernel = &kernel;
-    choice.width = width;
-  }
-  LogResolvedWidthOnce(choice);
-  return choice;
-}
-
-const KernelDesc* HighestPriorityAvailable() {
-  const KernelDesc* best = &ScalarKernelDesc();
-  for (const KernelDesc& kernel : KernelRegistry()) {
-    if (kernel.Available() && kernel.priority > best->priority) {
-      best = &kernel;
-    }
-  }
-  return best;
-}
+#endif
 
 }  // namespace
 
-bool KernelDesc::SupportsWidth(size_t width) const {
-  for (const size_t w : widths) {
-    if (w == width) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::span<const KernelDesc> KernelRegistry() { return Registry(); }
-
-const KernelDesc* FindKernel(std::string_view name) {
-  for (const KernelDesc& kernel : Registry()) {
-    if (kernel.name == name) {
-      return &kernel;
-    }
-  }
-  return nullptr;
-}
-
-const KernelDesc& ScalarKernelDesc() { return Registry().front(); }
-
 std::string CpuFeatureString() {
   std::string features;
-  for (const KernelDesc& kernel : Registry()) {
-    if (kernel.features.empty() || !kernel.cpu_supports()) {
-      continue;
-    }
-    if (!features.empty()) {
-      features.push_back(',');
-    }
-    features.append(kernel.features);
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("ssse3")) {
+    AppendFeature(features, "ssse3");
   }
+  if (__builtin_cpu_supports("avx2")) {
+    AppendFeature(features, "avx2");
+  }
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vbmi")) {
+    AppendFeature(features, "avx512f,avx512bw,avx512vbmi");
+  }
+#elif defined(__aarch64__) || defined(__ARM_NEON)
+  features = "neon";
+#endif
   return features.empty() ? "baseline" : features;
 }
 
 KernelChoice ResolveKernelChoice(std::string_view kernel_name,
                                  size_t requested_interleave) {
-  // Width 1 is always the scalar oracle: --interleave=1 stays the reference
-  // path every bit-exactness comparison in the repo is anchored to.
-  if (requested_interleave != 0 && ResolveInterleave(requested_interleave) == 1) {
-    return KernelChoice{&ScalarKernelDesc(), 1, requested_interleave};
-  }
-  if (kernel_name.empty()) {
-    if (const char* env = std::getenv("RC4B_KERNEL")) {
-      kernel_name = env;
-    }
-  }
-  if (!kernel_name.empty() && kernel_name != "auto") {
-    const KernelDesc* kernel = FindKernel(kernel_name);
-    if (kernel != nullptr && kernel->Available()) {
-      return FinishChoice(*kernel, requested_interleave);
-    }
+  if (!kernel_name.empty() && kernel_name != "auto" &&
+      kernel_name != kScalarKernel.name) {
     WarnKernelFallbackOnce(kernel_name);
-    return FinishChoice(ScalarKernelDesc(), requested_interleave);
   }
-  if (const auto cached = ValidCachedAutotuneChoice()) {
-    const KernelDesc* kernel = FindKernel(cached->kernel);
-    if (requested_interleave == 0) {
-      return KernelChoice{kernel, cached->width, 0};
-    }
-    return FinishChoice(*kernel, requested_interleave);
-  }
-  return FinishChoice(*HighestPriorityAvailable(), requested_interleave);
+  const KernelChoice choice{&kScalarKernel,
+                            ResolveInterleave(requested_interleave),
+                            requested_interleave};
+  LogResolvedWidthOnce(choice);
+  return choice;
 }
 
 }  // namespace rc4b

@@ -1,32 +1,16 @@
-// Registry of RC4 lane kernels + runtime CPU-feature dispatch.
+// The RC4 lane kernel and its dispatch.
 //
-// Every kernel the engine can generate keystreams with is described here:
-// name, the CPU features it needs, the lane widths it supports, and a
-// factory. The scalar round-robin kernel (Rc4MultiStream, the bit-exactness
-// oracle) is always registered and always available; the ISA kernels
-// (ssse3/avx2/avx512 on x86, neon on aarch64) are listed whenever their TU
-// compiled in and report Available() only when the running CPU has the
-// features —
-// dispatch therefore degrades to scalar on any machine, including
-// -mno-avx2 -mno-ssse3 fallback builds (CI asserts this).
-//
-// Selection (ResolveKernelChoice) feeds RunKeystreamEngine /
-// RunLongTermEngine and is controllable at three levels, strongest first:
-//   1. an explicit kernel name (EngineOptions::kernel / --kernel),
-//   2. the RC4B_KERNEL environment variable (how CI forces each kernel
-//      through the full test suites),
-//   3. the host's cached autotune choice ($RC4B_AUTOTUNE_CACHE, written by
-//      tools/autotune — see src/rc4/autotune.h), else the highest-priority
-//      kernel the CPU supports.
-// An explicit nonzero interleave width is always authoritative: a kernel
-// that cannot run that narrow falls back to scalar at the requested width,
-// and width 1 is always the scalar oracle no matter what was forced.
+// There is one kernel: the portable round-robin Rc4MultiStream behind the
+// Rc4LaneKernel interface, at the widths of kInterleaveWidths.
+// ResolveKernelChoice turns a requested interleave into a lane count;
+// RunKeystreamEngine, RunLongTermEngine and perfbench's replay all call it,
+// so they run the same width. docs/engine.md records why ISA-specific
+// kernels were measured and dropped.
 #ifndef SRC_RC4_KERNEL_REGISTRY_H_
 #define SRC_RC4_KERNEL_REGISTRY_H_
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -35,37 +19,17 @@
 namespace rc4b {
 
 struct KernelDesc {
-  std::string_view name;  // "scalar" | "ssse3" | "avx2" | "avx512" | "neon"
-  std::string_view features;  // CPU features required ("" = none)
-  std::span<const size_t> widths;  // supported lane counts, ascending
-  size_t preferred_width;          // width auto-dispatch picks (interleave 0)
-  int priority;                    // auto-dispatch preference, higher wins
-  bool (*compiled)();              // TU built with the required ISA?
-  bool (*cpu_supports)();          // running CPU has the required features?
+  std::string_view name;  // "scalar"
   std::unique_ptr<Rc4LaneKernel> (*make)(size_t width);  // nullptr: bad width
-
-  bool Available() const { return compiled() && cpu_supports(); }
-  bool SupportsWidth(size_t width) const;
 };
 
-// All registered kernels, scalar first; stable order (autotune candidate
-// enumeration and --list output depend on it). Unavailable kernels are
-// listed too, with Available() == false.
-std::span<const KernelDesc> KernelRegistry();
-
-// Lookup by name, available or not; nullptr when unknown.
-const KernelDesc* FindKernel(std::string_view name);
-
-// The always-available scalar oracle ("scalar").
-const KernelDesc& ScalarKernelDesc();
-
-// CPU features of the running machine that are relevant to kernel dispatch,
-// comma-separated (e.g. "ssse3,avx2"); "baseline" when none. Recorded in
-// every BENCH_*.json so trajectory points carry their hardware context.
+// CPU features of the running machine, comma-separated (e.g.
+// "ssse3,avx2"); "baseline" when none. Recorded in every BENCH_*.json so
+// trajectory points carry their hardware context.
 std::string CpuFeatureString();
 
-// A dispatch decision: which kernel at which lane width, plus the raw
-// requested interleave so benches can record both sides of the rounding.
+// A dispatch decision: the kernel at a lane width, plus the raw requested
+// interleave so benches can record both sides of the rounding.
 struct KernelChoice {
   const KernelDesc* kernel = nullptr;  // never null after resolution
   size_t width = 1;                    // resolved lane count (>= 1)
@@ -74,11 +38,11 @@ struct KernelChoice {
   std::string_view name() const { return kernel->name; }
 };
 
-// Resolves (kernel name, requested interleave) to a runnable configuration.
-// `kernel_name` empty means auto (env -> autotune cache -> priority); see
-// the file comment for the full precedence. Never fails: unknown or
-// unavailable kernels warn once on stderr and fall back to scalar, and the
-// first request whose width had to be rounded logs the resolution once.
+// Resolves (kernel name, requested interleave) to a runnable configuration:
+// the scalar kernel at ResolveInterleave(requested_interleave). `kernel_name`
+// may be "", "auto" or "scalar"; any other name warns once on stderr and
+// falls back to scalar. The first request whose width had to be rounded
+// logs the resolution once.
 KernelChoice ResolveKernelChoice(std::string_view kernel_name,
                                  size_t requested_interleave);
 

@@ -99,9 +99,7 @@ class Rc4MultiStream {
 
 // Widths the engine can dispatch to (1 = scalar Rc4). Powers of two keep the
 // default batch_keys (256) an exact multiple, so batches have no scalar tail.
-// 64 exists as the scalar twin of the AVX-512 kernel's lane count, so an
-// explicit --interleave=64 stays runnable when that kernel is unavailable.
-inline constexpr size_t kInterleaveWidths[] = {1, 2, 4, 8, 16, 32, 64};
+inline constexpr size_t kInterleaveWidths[] = {1, 2, 4, 8, 16, 32};
 
 // Auto width (EngineOptions::interleave == 0). Tuned with the
 // bench_throughput BM_Rc4Multi* sweep and bench_engine_sharded: 8 streams

@@ -130,7 +130,6 @@ class SingleByteScenario : public Scenario {
     dataset.workers = params.workers;
     dataset.seed = sim::TrialSeed(params.seed, kModelStream);
     dataset.interleave = params.interleave;
-    dataset.kernel = params.kernel;
     dataset.cache_dir = params.grid_cache;
     const SingleByteGrid grid = GenerateSingleByteDataset(last, dataset);
 

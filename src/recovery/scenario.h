@@ -35,9 +35,6 @@ struct ScenarioParams {
   // 1 = scalar; see EngineOptions::interleave). Outcomes are bit-identical
   // for any width — this is a perf/diagnosis knob only.
   size_t interleave = 0;
-  // RC4 lane kernel for engine-backed scenario setup ("" = auto; see
-  // EngineOptions::kernel). Bit-identical for any kernel, like interleave.
-  std::string kernel;
   // When set, engine-backed scenarios warm-start their attacker-model grids
   // from this store::GridCache directory (docs/store.md) instead of
   // regenerating each run. Cached and fresh grids are bit-identical, so

@@ -13,7 +13,7 @@ namespace {
 // (keys % M != 0) and nonzero drop. This is the golden-output guarantee that
 // lets the kernel be the default batch producer.
 
-constexpr size_t kWidths[] = {2, 4, 8, 16, 32, 64};
+constexpr size_t kWidths[] = {2, 4, 8, 16, 32};
 
 EngineOptions ShortTermOptions(size_t interleave, unsigned workers) {
   EngineOptions options;

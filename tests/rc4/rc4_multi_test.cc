@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <array>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/engine/keystream_engine.h"
+#include "src/rc4/kernel_registry.h"
 #include "src/rc4/rc4.h"
 
 namespace rc4b {
@@ -68,7 +79,6 @@ TEST(Rc4MultiStreamTest, MatchesScalarForEverySupportedWidth) {
   SweepLengthsAndDrops<8>(3);
   SweepLengthsAndDrops<16>(4);
   SweepLengthsAndDrops<32>(5);
-  SweepLengthsAndDrops<64>(6);
 }
 
 TEST(Rc4MultiStreamTest, ShortKeysMatchScalar) {
@@ -129,8 +139,120 @@ TEST(Rc4MultiStreamTest, ResolveInterleaveRoundsDownToSupportedWidths) {
   EXPECT_EQ(ResolveInterleave(31), 16u);
   EXPECT_EQ(ResolveInterleave(32), 32u);
   EXPECT_EQ(ResolveInterleave(63), 32u);
-  EXPECT_EQ(ResolveInterleave(64), 64u);
-  EXPECT_EQ(ResolveInterleave(1000), 64u);
+  EXPECT_EQ(ResolveInterleave(64), 32u);
+  EXPECT_EQ(ResolveInterleave(100), 32u);
+  EXPECT_EQ(ResolveInterleave(1000), 32u);
+}
+
+// ------------------------------------------------------------------------
+// Lane-kernel dispatch (src/rc4/kernel_registry.h). The last test sets
+// process-wide environment variables; gtest runs this binary's tests
+// serially, and the guard clears them again.
+
+class DispatchEnvGuard {
+ public:
+  DispatchEnvGuard() { Clear(); }
+  ~DispatchEnvGuard() { Clear(); }
+
+ private:
+  static void Clear() {
+    ::unsetenv("RC4B_KERNEL");
+    ::unsetenv("RC4B_AUTOTUNE_CACHE");
+  }
+};
+
+TEST(ResolveKernelChoiceTest, InterleaveOneIsTheScalarOracle) {
+  for (const std::string_view name : {"", "auto", "scalar"}) {
+    const KernelChoice choice = ResolveKernelChoice(name, 1);
+    EXPECT_EQ(choice.name(), "scalar") << name;
+    EXPECT_EQ(choice.width, 1u);
+    EXPECT_EQ(choice.requested, 1u);
+  }
+}
+
+TEST(ResolveKernelChoiceTest, UnknownNameFallsBackToScalar) {
+  const KernelChoice choice = ResolveKernelChoice("no-such-kernel", 0);
+  EXPECT_EQ(choice.name(), "scalar");
+  EXPECT_EQ(choice.width, kDefaultInterleave);
+}
+
+TEST(ResolveKernelChoiceTest, ExplicitWidthIsRoundedDown) {
+  const KernelChoice choice = ResolveKernelChoice("scalar", 1000);
+  EXPECT_EQ(choice.name(), "scalar");
+  EXPECT_EQ(choice.width, ResolveInterleave(1000));
+  EXPECT_EQ(choice.requested, 1000u);
+  EXPECT_EQ(ResolveKernelChoice("", 12).width, 8u);
+}
+
+TEST(ResolveKernelChoiceTest, AutoResolvesToScalarAtDefaultWidth) {
+  for (const std::string_view name : {"", "auto"}) {
+    const KernelChoice choice = ResolveKernelChoice(name, 0);
+    EXPECT_EQ(choice.name(), "scalar") << name;
+    EXPECT_EQ(choice.width, 8u) << name;
+    EXPECT_EQ(choice.requested, 0u) << name;
+  }
+}
+
+TEST(ResolveKernelChoiceTest, MakeBuildsEveryInterleaveWidth) {
+  const KernelDesc& desc = *ResolveKernelChoice("", 0).kernel;
+  for (const size_t width : kInterleaveWidths) {
+    const auto kernel = desc.make(width);
+    ASSERT_NE(kernel, nullptr) << "width=" << width;
+    EXPECT_EQ(kernel->Width(), width);
+  }
+  EXPECT_EQ(desc.make(64), nullptr);
+}
+
+TEST(ResolveKernelChoiceTest, DispatchIgnoresKernelAndAutotuneEnvironment) {
+  // Former overrides: a forced kernel name and a cached tuning choice for
+  // this host, in the last format the cache reader accepted. Neither may
+  // change what auto dispatch or the engine's auto batch size resolve to.
+  DispatchEnvGuard guard;
+  std::array<char, 256> host{};
+  ASSERT_EQ(::gethostname(host.data(), host.size() - 1), 0);
+  const std::string cache =
+      ::testing::TempDir() + "rc4b_dispatch_env_test.autotune";
+  {
+    std::ofstream out(cache);
+    out << "rc4b-autotune 1\nkernel scalar\nwidth 32\nbatch_keys 64\n"
+           "ks_per_s 123456\nhost " << host.data()
+        << "\ncpu_features baseline\n";
+  }
+  ::setenv("RC4B_KERNEL", "avx512", 1);
+  ::setenv("RC4B_AUTOTUNE_CACHE", cache.c_str(), 1);
+
+  const KernelChoice choice = ResolveKernelChoice("", 0);
+  EXPECT_EQ(choice.name(), "scalar");
+  EXPECT_EQ(choice.width, 8u);
+
+  // batch_keys = 0 resolves to 256 rows per batch: with 257 keys the second
+  // batch is a single row, so the engine's shard sees exactly two batches.
+  class BatchCounter final : public BiasAccumulator {
+   public:
+    size_t KeystreamLength() const override { return 1; }
+    std::unique_ptr<ShardSink> MakeShard() override {
+      return std::make_unique<Sink>(&rows);
+    }
+    void MergeShard(ShardSink&, uint64_t) override {}
+    std::vector<size_t> rows;
+
+   private:
+    struct Sink final : ShardSink {
+      explicit Sink(std::vector<size_t>* out) : out(out) {}
+      void Consume(const KeystreamBatch& batch) override {
+        out->push_back(batch.rows);
+      }
+      std::vector<size_t>* out;
+    };
+  };
+  EngineOptions options;
+  options.keys = 257;
+  options.workers = 1;
+  options.batch_keys = 0;
+  BatchCounter counter;
+  RunKeystreamEngine(options, counter);
+  EXPECT_EQ(counter.rows, (std::vector<size_t>{256, 1}));
+  std::remove(cache.c_str());
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "src/common/io.h"
 #include "src/crypto/crc32.h"
 #include "src/orchestrate/lease.h"
-#include "src/rc4/autotune.h"
 #include "src/store/grid_file.h"
 #include "src/store/manifest.h"
 #include "src/store/shard_runner.h"
@@ -227,34 +226,6 @@ bool EmitCheckpointCorpus(const std::string& dir, const std::string& scratch) {
          WriteRaw(dir + "/empty", "");
 }
 
-bool EmitAutotuneCorpus(const std::string& dir, const std::string& scratch) {
-  rc4b::AutotuneChoice choice;
-  choice.kernel = "scalar";
-  choice.width = 1;
-  choice.batch_keys = 256;
-  choice.ks_per_s = 123456.0;
-  choice.host = "corpus-host";
-  choice.cpu_features = "baseline";
-  const std::string valid_path = scratch + "/valid.autotune";
-  if (!rc4b::SaveAutotuneChoice(valid_path, choice).ok()) {
-    return false;
-  }
-  std::string valid;
-  if (!ReadAll(valid_path, &valid)) {
-    return false;
-  }
-
-  std::string no_width = valid;
-  const size_t width_at = no_width.find("width");
-  no_width.erase(width_at, no_width.find('\n', width_at) + 1 - width_at);
-
-  return WriteRaw(dir + "/valid", valid) &&
-         WriteRaw(dir + "/missing-width", no_width) &&
-         WriteRaw(dir + "/wrong-header", "rc4b-autotune 999\n" + valid) &&
-         WriteRaw(dir + "/truncated", valid.substr(0, valid.size() / 3)) &&
-         WriteRaw(dir + "/empty", "");
-}
-
 bool EmitLeaseCorpus(const std::string& dir) {
   rc4b::orchestrate::Lease lease;
   lease.owner = "12345.a2";
@@ -291,7 +262,7 @@ int main(int argc, char** argv) {
   const std::string scratch = out + "/.scratch";
   for (const char* target :
        {"fuzz_grid_file", "fuzz_manifest", "fuzz_checkpoint_resume",
-        "fuzz_autotune_cache", "fuzz_lease"}) {
+        "fuzz_lease"}) {
     if (!rc4b::MakeDirs(out + "/" + target).ok()) {
       std::fprintf(stderr, "cannot create %s/%s\n", out.c_str(), target);
       return 1;
@@ -304,7 +275,6 @@ int main(int argc, char** argv) {
       EmitGridFileCorpus(out + "/fuzz_grid_file", scratch) &&
       EmitManifestCorpus(out + "/fuzz_manifest", scratch) &&
       EmitCheckpointCorpus(out + "/fuzz_checkpoint_resume", scratch) &&
-      EmitAutotuneCorpus(out + "/fuzz_autotune_cache", scratch) &&
       EmitLeaseCorpus(out + "/fuzz_lease");
   if (!ok) {
     std::fprintf(stderr, "corpus generation failed\n");
