@@ -26,13 +26,12 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const auto [keys, workers, seed, interleave] = GetScaleFlags(flags, scale);
+  const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
   LongTermOptions options;
   options.keys = keys;
   options.bytes_per_key = flags.GetUint("bytes-per-key");
   options.workers = workers;
   options.seed = seed;
-  options.interleave = interleave;
   const uint64_t max_gap = flags.GetUint("max-gap");
 
   bench::PrintHeader(

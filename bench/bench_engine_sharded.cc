@@ -1,21 +1,19 @@
 // Sharded keystream-engine throughput: keystreams/sec for the single-byte
 // and consecutive-digraph accumulators, comparing
-//   * the scalar Rc4 path (--interleave=1) against the interleaved lane
-//     kernel (src/rc4/kernel_registry.h: Rc4MultiStream at --interleave,
-//     default 8) on one thread — the single-core headline, and
+//   * the scalar Rc4 reference path (EngineOptions::interleave = 1) against
+//     the lane kernel (src/rc4/kernel_registry.h: Rc4MultiStream at
+//     kLaneWidth lanes) on one thread — the single-core headline, and
 //   * one shard against all cores — the sharding headline.
-// Every run re-checks the engine's two bit-exactness guarantees: the multi
-// grid equals the scalar grid, and the sharded merge equals the
+// Every run re-checks the engine's two bit-exactness guarantees: the lane
+// kernel's grid equals the scalar grid, and the sharded merge equals the
 // single-shard reference for the same seed.
 //
-// This is the repo's perf-trajectory bench for the dataset hot path every
-// attack scenario (Fig. 4-10, Tables 1-2) sits on; the nightly CI job
-// uploads its stdout and BENCH_engine_sharded.json as artifacts. This dev
-// box may have 1 core: read thread-scaling numbers off CI hardware (the
-// kernel speedup is single-thread and measurable anywhere).
+// Each configuration is timed once; for medians over repeated runs and a
+// per-layer breakdown use perfbench/ (perfbench/README.md). Thread scaling
+// needs a multi-core host; the kernel speedup is single-thread and
+// measurable anywhere.
 #include <chrono>
 #include <cstdio>
-#include <string>
 
 #include "bench/harness.h"
 #include "src/common/flags.h"
@@ -42,7 +40,6 @@ double TimedRun(const EngineOptions& options, Accumulator& accumulator) {
 // Returns whether all grids were bit-exact.
 template <typename MakeAccumulator>
 bool RunMode(const char* mode, const EngineOptions& base, unsigned threads,
-             size_t interleave, bench::JsonTrajectory& json,
              MakeAccumulator make_accumulator) {
   EngineOptions options = base;
   const double n = static_cast<double>(options.keys);
@@ -52,7 +49,7 @@ bool RunMode(const char* mode, const EngineOptions& base, unsigned threads,
   auto scalar = make_accumulator();
   const double scalar_s = TimedRun(options, scalar);
 
-  options.interleave = interleave;
+  options.interleave = 0;
   auto multi = make_accumulator();
   const double multi_s = TimedRun(options, multi);
 
@@ -62,19 +59,11 @@ bool RunMode(const char* mode, const EngineOptions& base, unsigned threads,
 
   const bool exact =
       scalar.grid() == multi.grid() && scalar.grid() == sharded.grid();
-  std::printf("%-12s %10.0f ks/s scalar  %10.0f ks/s interleaved (%.2fx)  "
+  std::printf("%-12s %10.0f ks/s scalar  %10.0f ks/s lane kernel (%.2fx)  "
               "%10.0f ks/s x%u threads (%.2fx)  bit-exact: %s\n",
               mode, n / scalar_s, n / multi_s, scalar_s / multi_s,
               n / sharded_s, threads, multi_s / sharded_s,
               exact ? "OK" : "FAILED");
-
-  const std::string prefix = mode;
-  json.Add(prefix + "_scalar_ks_per_s", n / scalar_s);
-  json.Add(prefix + "_interleaved_ks_per_s", n / multi_s);
-  json.Add(prefix + "_kernel_speedup", scalar_s / multi_s);
-  json.Add(prefix + "_sharded_ks_per_s", n / sharded_s);
-  json.Add(prefix + "_thread_speedup", multi_s / sharded_s);
-  json.Add(prefix + "_bit_exact", std::string(exact ? "true" : "false"));
   return exact;
 }
 
@@ -93,44 +82,34 @@ int Run(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) {
     return 0;
   }
-  const auto [keys, parsed_threads, seed, requested_interleave] =
-      GetScaleFlags(flags, scale);
+  const auto [keys, parsed_threads, seed] = GetScaleFlags(flags, scale);
   const size_t positions = static_cast<size_t>(flags.GetUint("positions"));
   const unsigned threads =
       parsed_threads != 0 ? parsed_threads : DefaultWorkerCount();
   // The same dispatch decision the engine will make, surfaced up front so
-  // stdout and the JSON record the kernel the numbers belong to.
-  const KernelChoice choice = ResolveKernelChoice("", requested_interleave);
+  // stdout records the kernel the numbers belong to.
+  const KernelChoice choice = ResolveKernelChoice("", 0);
 
   bench::PrintHeader(
       "bench_engine_sharded",
       "Sect. 3.2 dataset generation (engine substrate for Fig. 4-10, Tab. 1-2)",
-      "keystreams/sec: scalar vs interleaved lane kernel (1 thread), then all "
+      "keystreams/sec: scalar vs lane kernel (1 thread), then all "
       "cores; every run re-checks both bit-exactness guarantees");
   std::printf(
-      "keys=%llu positions=%zu threads=%u (hardware: %u) kernel=%.*s "
-      "interleave=%zu (requested %zu) cpu=%s\n\n",
+      "keys=%llu positions=%zu threads=%u (hardware: %u) kernel=%.*s@%zu "
+      "cpu=%s\n\n",
       static_cast<unsigned long long>(keys), positions, threads,
       DefaultWorkerCount(), static_cast<int>(choice.name().size()),
-      choice.name().data(), choice.width, requested_interleave,
-      CpuFeatureString().c_str());
+      choice.name().data(), choice.width, CpuFeatureString().c_str());
 
   EngineOptions base;
   base.keys = keys;
   base.seed = seed;
 
-  bench::JsonTrajectory json("engine_sharded");
-  json.Add("keys", static_cast<uint64_t>(keys));
-  json.Add("positions", static_cast<uint64_t>(positions));
-  json.Add("threads", static_cast<uint64_t>(threads));
-  json.RecordScale(requested_interleave, choice.width, base.batch_keys);
-  json.RecordKernel(std::string(choice.name()), CpuFeatureString());
-
-  bool exact = RunMode("single-byte", base, threads, choice.width, json,
+  bool exact = RunMode("single-byte", base, threads,
                        [&] { return SingleByteAccumulator(positions); });
-  exact &= RunMode("digraph", base, threads, choice.width, json,
+  exact &= RunMode("digraph", base, threads,
                    [&] { return ConsecutiveAccumulator(positions); });
-  json.Write();
   if (!exact) {
     std::printf("\nBIT-EXACTNESS VIOLATION: see rows above\n");
     return 1;

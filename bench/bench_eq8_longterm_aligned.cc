@@ -24,13 +24,12 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const auto [keys, workers, seed, interleave] = GetScaleFlags(flags, scale);
+  const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
   LongTermOptions options;
   options.keys = keys;
   options.bytes_per_key = flags.GetUint("bytes-per-key");
   options.workers = workers;
   options.seed = seed;
-  options.interleave = interleave;
 
   const double samples = static_cast<double>(options.keys) *
                          static_cast<double>(options.bytes_per_key / 256);

@@ -43,12 +43,11 @@ int Run(int argc, char** argv) {
 
   const size_t positions = flags.GetUint("positions");
   const size_t window = flags.GetUint("window");
-  const auto [keys, workers, seed, interleave] = GetScaleFlags(flags, scale);
+  const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
   DatasetOptions options;
   options.keys = keys;
   options.workers = workers;
   options.seed = seed;
-  options.interleave = interleave;
   options.cache_dir = flags.GetString("grid-cache");
 
   bench::PrintHeader("bench_fig4_fm_shortterm",

@@ -29,12 +29,11 @@ int Run(int argc, char** argv) {
 
   const uint32_t max_position = static_cast<uint32_t>(flags.GetUint("max-position"));
   const size_t window = flags.GetUint("window");
-  const auto [keys, workers, seed, interleave] = GetScaleFlags(flags, scale);
+  const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
   DatasetOptions options;
   options.keys = keys;
   options.workers = workers;
   options.seed = seed;
-  options.interleave = interleave;
 
   bench::PrintHeader("bench_fig5_z1z2_influence",
                      "Fig. 5 (six Z1/Z2-induced bias families) + Sect. 3.3.2 "

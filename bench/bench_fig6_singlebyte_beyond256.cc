@@ -30,12 +30,11 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const auto [keys, workers, seed, interleave] = GetScaleFlags(flags, scale);
+  const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
   DatasetOptions options;
   options.keys = keys;
   options.workers = workers;
   options.seed = seed;
-  options.interleave = interleave;
   options.cache_dir = flags.GetString("grid-cache");
   const size_t positions = flags.GetUint("positions");
 

@@ -42,8 +42,7 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const auto [sims, workers, seed, interleave] = GetScaleFlags(flags, scale);
-  (void)interleave;  // no keystream-engine stage in this sim-only bench
+  const auto [sims, workers, seed] = GetScaleFlags(flags, scale);
   const int min_log2 = static_cast<int>(flags.GetInt("min-log2"));
   const int max_log2 = static_cast<int>(flags.GetInt("max-log2"));
   const uint8_t counter = static_cast<uint8_t>(flags.GetUint("counter"));

@@ -73,7 +73,6 @@ int Run(int argc, char** argv) {
   params.trials = scale_values.count;
   params.workers = scale_values.workers;
   params.seed = scale_values.seed;
-  params.interleave = scale_values.interleave;
   params.samples = flags.GetUint("samples");
   params.budget = flags.GetUint("budget");
   params.model_keys = flags.GetUint("model-keys");
@@ -83,10 +82,6 @@ int Run(int argc, char** argv) {
       "bench_scenarios",
       "unified recovery pipeline (Sect. 5 + Sect. 6 + Sect. 3.3.3 workloads)",
       "one row per registry scenario; rows are bit-exact for any --workers");
-
-  bench::JsonTrajectory json("scenarios");
-  json.Add("trials", params.trials);
-  json.Add("workers", static_cast<uint64_t>(params.workers));
 
   std::printf("%-24s %8s %12s %12s %14s %8s\n", "scenario", "trials",
               "budget wins", "exact wins", "median rank", "secs");
@@ -104,12 +99,7 @@ int Run(int argc, char** argv) {
                 100.0 * static_cast<double>(outcome.exact_wins) /
                     static_cast<double>(outcome.trials),
                 Median(outcome.ranks), seconds);
-    json.Add(scenario->name() + "/trials_per_s",
-             static_cast<double>(outcome.trials) / seconds);
-    json.Add(scenario->name() + "/exact_wins", outcome.exact_wins);
-    json.Add(scenario->name() + "/budget_wins", outcome.budget_wins);
   }
-  json.Write();
   return 0;
 }
 

@@ -1,10 +1,9 @@
-// Perf trajectory for the src/sim/ trial-parallel simulation subsystem:
+// Throughput of the src/sim/ trial-parallel simulation subsystem:
 // TKIP-attack trials per second with 1 worker vs all cores, plus a re-check
 // of the worker-count bit-exactness contract (docs/sim.md) on every run —
 // mirroring what bench_engine_sharded does for the keystream engine.
 //
-// Note: this box may have few cores; read scaling factors off multi-core CI
-// hardware (the manual perf job uploads this output as an artifact).
+// Scaling factors need a multi-core host to mean anything.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -40,15 +39,13 @@ int Run(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) {
     return 0;
   }
-  const auto [trial_count, parsed_threads, seed, interleave] =
+  const auto [trial_count, parsed_threads, seed] =
       GetScaleFlags(flags, scale);
-  (void)interleave;  // no keystream-engine stage in this sim-only bench
 
   bench::PrintHeader("bench_sim_trials",
                      "Sect. 5/6 Monte-Carlo simulations (Figs. 7-10 substrate)",
                      "trials/s, 1 worker vs all cores; every run re-checks "
                      "that aggregates are bit-exact across worker counts");
-  bench::JsonTrajectory json("sim_trials");
 
   const Bytes msdu = sim::InjectedPacket();
   TkipTscModel model(msdu.size() + 1, msdu.size() + kTkipTrailerSize);
@@ -79,12 +76,6 @@ int Run(int argc, char** argv) {
   std::printf("  %2u workers: %8.2f trials/s (%.2fx)\n", all,
               static_cast<double>(options.trials) / parallel_s,
               serial_s / parallel_s);
-  json.Add("threads", static_cast<uint64_t>(all));
-  json.Add("tkip_trials", options.trials);
-  json.Add("tkip_serial_trials_per_s",
-           static_cast<double>(options.trials) / serial_s);
-  json.Add("tkip_parallel_trials_per_s",
-           static_cast<double>(options.trials) / parallel_s);
   if (!(serial == parallel)) {
     std::printf("  BIT-EXACTNESS VIOLATION: 1-worker and %u-worker aggregates "
                 "differ\n",
@@ -120,11 +111,6 @@ int Run(int argc, char** argv) {
   std::printf("  %2u workers: %8.2f trials/s (%.2fx)\n", all,
               static_cast<double>(cookie_options.trials) / cookie_parallel_s,
               cookie_serial_s / cookie_parallel_s);
-  json.Add("cookie_trials", cookie_options.trials);
-  json.Add("cookie_serial_trials_per_s",
-           static_cast<double>(cookie_options.trials) / cookie_serial_s);
-  json.Add("cookie_parallel_trials_per_s",
-           static_cast<double>(cookie_options.trials) / cookie_parallel_s);
   if (!(cookie_serial == cookie_parallel)) {
     std::printf("  BIT-EXACTNESS VIOLATION: 1-worker and %u-worker aggregates "
                 "differ\n",
@@ -132,7 +118,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   std::printf("  aggregates bit-exact across worker counts: OK\n");
-  json.Write();
   return 0;
 }
 

@@ -1,11 +1,10 @@
 // Substrate micro-throughput (google-benchmark): the building blocks whose
 // speed determined the paper's practical rates (Sect. 5.4: ~2500 injected
 // packets/s; Sect. 6.3: ~4450 HTTPS requests/s, 20000 cookie tests/s).
-// Alongside the console table the binary writes BENCH_throughput.json
-// (bench/harness.h) so the nightly perf job tracks every micro-number.
+// For machine-readable output use google-benchmark's own flags, e.g.
+// --benchmark_out=throughput.json --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
-#include "bench/harness.h"
 #include "src/biases/fluhrer_mcgrew.h"
 #include "src/common/rng.h"
 #include "src/core/candidates.h"
@@ -17,7 +16,6 @@
 #include "src/crypto/hmac.h"
 #include "src/crypto/michael.h"
 #include "src/crypto/sha1.h"
-#include "src/rc4/kernel_registry.h"
 #include "src/rc4/rc4.h"
 #include "src/rc4/rc4_multi.h"
 #include "src/tkip/frame.h"
@@ -74,8 +72,8 @@ BENCHMARK_TEMPLATE(BM_Rc4MultiKsa, 32);
 
 // Interleaved kernel PRGA: bytes/sec across all M streams (row stride =
 // keystream length, as in the engine's batch buffer). Compare against
-// BM_Rc4Keystream at the same length for the per-core PRGA speedup; this is
-// also the sweep that tunes kDefaultInterleave.
+// BM_Rc4Keystream at the same length for the per-core PRGA speedup; this
+// sweep and the KSA one above are how to re-check kLaneWidth on new hardware.
 template <size_t M>
 void BM_Rc4MultiKeystream(benchmark::State& state) {
   const Bytes keys = RandomBytes(M * 16, 22);
@@ -215,8 +213,9 @@ BENCHMARK(BM_SparseDoubleByteLikelihood);
 
 // Sharded keystream-statistics engine: the dataset hot path under every
 // attack scenario. Args are {shard count (0 = all cores), interleave
-// (1 = scalar, 0 = auto)}; items/sec is keystreams/sec.
-// bench_engine_sharded reports the full scalar-vs-interleaved sweep.
+// (1 = scalar reference path, 0 = lane kernel)}; items/sec is keystreams/sec.
+// bench_engine_sharded reports the same comparison with a bit-exactness
+// check.
 void BM_EngineSingleByteStats(benchmark::State& state) {
   EngineOptions options;
   options.keys = 1 << 14;
@@ -264,31 +263,6 @@ void BM_LazyCandidateEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyCandidateEnumeration);
 
-// Console output as usual, while collecting every run into
-// BENCH_throughput.json: per benchmark the real ns/iter plus the rate
-// counters (items_per_second / bytes_per_second) google-benchmark computed.
-class TrajectoryReporter : public benchmark::ConsoleReporter {
- public:
-  explicit TrajectoryReporter(bench::JsonTrajectory& json) : json_(json) {}
-
-  void ReportRuns(const std::vector<Run>& report) override {
-    for (const Run& run : report) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) {
-        continue;
-      }
-      const std::string name = run.benchmark_name();
-      json_.Add(name + "/real_ns", run.GetAdjustedRealTime());
-      for (const auto& [counter, value] : run.counters) {
-        json_.Add(name + "/" + counter, static_cast<double>(value));
-      }
-    }
-    ConsoleReporter::ReportRuns(report);
-  }
-
- private:
-  bench::JsonTrajectory& json_;
-};
-
 }  // namespace
 }  // namespace rc4b
 
@@ -297,11 +271,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  rc4b::bench::JsonTrajectory json("throughput");
-  json.Add("cpu_features", rc4b::CpuFeatureString());
-  rc4b::TrajectoryReporter reporter(json);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  json.Write();
   return 0;
 }

@@ -6,19 +6,9 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
-#include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <utility>
-#include <vector>
-
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "src/common/io.h"
 
 namespace rc4b::bench {
 
@@ -32,146 +22,6 @@ inline void PrintHeader(const std::string& experiment, const std::string& paper_
   }
   std::printf("==============================================================\n");
 }
-
-// Machine-readable perf trajectory: each bench binary writes one
-// BENCH_<name>.json per run — into $RC4B_BENCH_JSON_DIR when set, else
-// bench/trajectory/ when that directory exists under the cwd (a repo
-// checkout), else next to its stdout table — so CI can upload the numbers
-// as artifacts and the trajectory can be diffed across commits. The format is one flat
-// JSON object: bench name, git revision, wall seconds since construction,
-// then every metric added by the binary (ks/s, trials/s, threads, ...).
-class JsonTrajectory {
- public:
-  explicit JsonTrajectory(std::string bench_name)
-      : bench_name_(std::move(bench_name)),
-        start_(std::chrono::steady_clock::now()) {}
-
-  void Add(const std::string& key, double value) {
-    std::array<char, 64> buffer;
-    std::snprintf(buffer.data(), buffer.size(), "%.6g", value);
-    entries_.emplace_back(key, buffer.data());
-  }
-
-  void Add(const std::string& key, uint64_t value) {
-    entries_.emplace_back(key, std::to_string(value));
-  }
-
-  void Add(const std::string& key, const std::string& value) {
-    std::string quoted;
-    quoted.push_back('"');
-    quoted.append(Escaped(value));
-    quoted.push_back('"');
-    entries_.emplace_back(key, quoted);
-  }
-
-  // The shared engine-scale knobs, spelled identically across benches so the
-  // trajectory can be compared like-for-like: a point measured with a
-  // different lockstep width or batch size is the same math on a different
-  // schedule (bit-exact results), but not the same perf configuration.
-  // Both sides of the interleave resolution are recorded — "I asked for 12"
-  // and "the kernel ran 8 lanes" are different facts, and the perf gate
-  // compares points by the resolved value (bench/trajectory/README.md).
-  void RecordScale(size_t interleave_requested, size_t interleave,
-                   uint64_t batch_keys) {
-    Add("interleave_requested", static_cast<uint64_t>(interleave_requested));
-    Add("interleave", static_cast<uint64_t>(interleave));
-    Add("batch_keys", batch_keys);
-  }
-
-  // The dispatch decision behind the numbers: kernel name plus the CPU
-  // features the host offers (CpuFeatureString()). A trajectory point is
-  // only comparable to points with the same kernel on the same hardware.
-  void RecordKernel(const std::string& kernel, const std::string& cpu_features) {
-    Add("kernel", kernel);
-    Add("cpu_features", cpu_features);
-  }
-
-  // Writes BENCH_<name>.json atomically (temp file + rename: a nightly-CI
-  // artifact scrape never sees a torn file); returns false (after a warning
-  // on stderr) if the file cannot be written so benches never fail on a
-  // read-only cwd.
-  bool Write() const {
-    std::string dir;
-    if (const char* env = std::getenv("RC4B_BENCH_JSON_DIR")) {
-      dir = std::string(env) + "/";
-    } else {
-      // Default into bench/trajectory/ when running from a repo checkout
-      // (the directory exists there), so ad-hoc runs don't strew
-      // BENCH_*.json files across the repo root; any other cwd keeps the
-      // write-next-to-stdout behavior.
-      struct ::stat st {};
-      if (::stat("bench/trajectory", &st) == 0 && S_ISDIR(st.st_mode)) {
-        dir = "bench/trajectory/";
-      }
-    }
-    const std::string path = dir + "BENCH_" + bench_name_ + ".json";
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
-    std::array<char, 32> wall_text;
-    std::snprintf(wall_text.data(), wall_text.size(), "%.3f", wall_s);
-    std::string out = "{\n  \"bench\": \"" + Escaped(bench_name_) +
-                      "\",\n  \"git_rev\": \"" + Escaped(GitRevision()) +
-                      "\",\n  \"host\": \"" + Escaped(Hostname()) +
-                      "\",\n  \"wall_s\": " + wall_text.data();
-    for (const auto& [key, value] : entries_) {
-      out += ",\n  \"" + Escaped(key) + "\": " + value;
-    }
-    out += "\n}\n";
-    if (const IoStatus status = WriteFileAtomic(path, out); !status.ok()) {
-      std::fprintf(stderr, "warning: %s\n", status.message().c_str());
-      return false;
-    }
-    std::printf("\nwrote %s\n", path.c_str());
-    return true;
-  }
-
-  // Machine identity for cross-host trajectory comparisons (a ks/s number is
-  // only comparable to numbers from the same hardware).
-  static std::string Hostname() {
-    std::array<char, 256> buffer{};
-    if (::gethostname(buffer.data(), buffer.size() - 1) != 0) {
-      return "unknown";
-    }
-    return buffer.data();
-  }
-
-  // Current commit: $GITHUB_SHA when CI exports it, otherwise `git
-  // rev-parse`, otherwise "unknown" (never fails).
-  static std::string GitRevision() {
-    if (const char* sha = std::getenv("GITHUB_SHA")) {
-      return sha;
-    }
-    std::string rev;
-    if (std::FILE* pipe = popen("git rev-parse --short=12 HEAD 2>/dev/null", "r")) {
-      std::array<char, 64> buffer{};
-      if (std::fgets(buffer.data(), buffer.size(), pipe) != nullptr) {
-        rev = buffer.data();
-        while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-          rev.pop_back();
-        }
-      }
-      pclose(pipe);
-    }
-    return rev.empty() ? "unknown" : rev;
-  }
-
- private:
-  static std::string Escaped(const std::string& raw) {
-    std::string out;
-    for (const char c : raw) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  std::string bench_name_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
 
 // Significance annotation for a measured vs. expected deviation.
 inline const char* Stars(double z) {

@@ -27,12 +27,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto [keys, workers, seed, interleave] = GetScaleFlags(flags, scale);
+  const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
   DatasetOptions options;
   options.keys = keys;
   options.workers = workers;
   options.seed = seed;
-  options.interleave = interleave;
   const size_t positions = flags.GetUint("positions");
 
   std::printf("sampling %llu keys, positions 1..%zu...\n",

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   params.trials = scale_values.count;
   params.workers = scale_values.workers;
   params.seed = scale_values.seed;
-  params.interleave = scale_values.interleave;
 
   for (const recovery::Scenario* scenario : registry.List()) {
     std::printf("\nrunning %s (%llu trials)...\n", scenario->name().c_str(),

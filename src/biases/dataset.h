@@ -26,8 +26,8 @@ struct DatasetOptions {
   // number k of that stream, so counts are bit-identical for any `workers`
   // (see src/engine/keystream_engine.h).
   uint64_t seed = 1;
-  // RC4 streams generated in lockstep (0 = auto, 1 = scalar); counts are
-  // bit-identical for any width — see EngineOptions::interleave.
+  // 0 = the lane kernel, 1 = the scalar reference path; counts are
+  // bit-identical either way — see EngineOptions::interleave.
   size_t interleave = 0;
   // Global index of the first key: the dataset covers keys [first_key,
   // first_key + keys) of the seed's stream. Nonzero when a shard of a
@@ -62,7 +62,7 @@ struct LongTermOptions {
   uint64_t drop = 1024;  // paper drops the initial 1023 bytes; we drop 1024
   unsigned workers = 0;
   uint64_t seed = 1;  // shared AES-CTR stream seed (worker-count invariant)
-  size_t interleave = 0;   // lockstep stream count (0 = auto, 1 = scalar)
+  size_t interleave = 0;   // 0 = lane kernel, 1 = scalar reference path
   uint64_t first_key = 0;  // global key-range offset (see DatasetOptions)
   std::string cache_dir;   // GridCache directory (digraph dataset only)
 };

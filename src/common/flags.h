@@ -23,6 +23,10 @@ class FlagSet {
   // exit. Unknown flags abort with a message.
   bool Parse(int argc, char** argv);
 
+  // Typed getters. A value that is not entirely a number of the right kind
+  // (trailing characters, a sign on an unsigned value, out of range) or an
+  // unknown boolean word prints the flag and exits with status 2, like an
+  // unknown flag. Integers take decimal or 0x hex.
   std::string GetString(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
   uint64_t GetUint(const std::string& name) const;
@@ -45,10 +49,7 @@ class FlagSet {
 // binaries: a count flag (--keys for dataset generators, --sims for
 // Monte-Carlo harnesses, --trials for scenario runs), a worker-count flag
 // (--workers, or --threads where the binary sweeps worker counts itself),
-// --seed, and --interleave (EngineOptions::interleave: RC4 streams
-// generated in lockstep, 0 = auto, 1 = scalar — results are bit-identical
-// for any width, so it is purely a perf knob; binaries that never touch the
-// keystream engine accept and ignore it for flag uniformity).
+// and --seed.
 // bench/harness.h shares the printing; these helpers share the parsing, so
 // every binary spells the common knobs the same way.
 struct ScaleFlagSpec {
@@ -65,14 +66,13 @@ struct ScaleFlagValues {
   uint64_t count = 0;
   unsigned workers = 0;
   uint64_t seed = 0;
-  size_t interleave = 0;
 };
 
-// Registers the spec's four flags on `flags`; returns `flags` for chaining
+// Registers the spec's three flags on `flags`; returns `flags` for chaining
 // additional binary-specific Define calls.
 FlagSet& DefineScaleFlags(FlagSet& flags, const ScaleFlagSpec& spec);
 
-// Reads the four values back after Parse().
+// Reads the three values back after Parse().
 ScaleFlagValues GetScaleFlags(const FlagSet& flags, const ScaleFlagSpec& spec);
 
 }  // namespace rc4b

@@ -53,7 +53,7 @@ struct IoStatus {
 
 // Writes `data` to `path` atomically: the bytes land in `path + ".tmp"` and
 // are renamed over `path` only after a successful flush, so readers never
-// observe a partial file. Used for manifests, checkpoints and BENCH_*.json.
+// observe a partial file. Used for manifests and leases.
 IoStatus WriteFileAtomic(const std::string& path, std::string_view data);
 
 // mkdir -p: creates `path` and any missing parents; existing directories are

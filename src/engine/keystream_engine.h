@@ -85,11 +85,11 @@ struct EngineOptions {
   uint64_t drop = 0;  // initial keystream bytes discarded per key
   // Keystreams per generated batch; 0 = auto (256).
   size_t batch_keys = 256;
-  // RC4 streams generated in lockstep: 0 = auto (kDefaultInterleave), 1 =
-  // scalar Rc4, other values round down to the nearest entry of
-  // kInterleaveWidths (logged once when rounding changes the value).
-  // Batches are byte-identical for every width — interleaving only
-  // reorders the schedule, never the per-key math.
+  // 1 = the scalar Rc4 reference path that the bit-exactness tests compare
+  // against; any other value (0 by default) = the kLaneWidth-lane kernel
+  // (src/rc4/rc4_multi.h). Batches are byte-identical either way — the
+  // kernel only reorders the schedule, never the per-key math. This is an
+  // oracle switch, not a tuning knob.
   size_t interleave = 0;
   // Lane-kernel name (src/rc4/kernel_registry.h): only "", "auto" and
   // "scalar" are accepted, and all three select the one scalar kernel. Any
@@ -114,10 +114,10 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
 //
 // Window ordering: each key's windows always arrive in stream order, and
 // every window's base offset within its key is a multiple of chunk_bytes
-// (itself a 256-multiple), but with interleave > 1 the engine generates up
-// to `interleave` keys in lockstep and round-robins their windows — window w
-// of key k, then window w of key k+1, ... BeginKey() fires once per key, in
-// key order, when the key's lockstep group starts. Sinks that accumulate
+// (itself a 256-multiple), but on the lane-kernel path the engine generates
+// kLaneWidth keys in lockstep and round-robins their windows — window w of
+// key k, then window w of key k+1, ... BeginKey() fires once per key, in key
+// order, when the key's lockstep group starts. Sinks that accumulate
 // commutative per-window counters (all current ones) are unaffected; a sink
 // that needs strictly sequential per-key delivery must be run with
 // LongTermEngineOptions::interleave = 1.
@@ -158,8 +158,8 @@ struct LongTermEngineOptions {
   uint64_t seed = 1;
   uint64_t first_key = 0;  // global key-range offset (see EngineOptions)
   size_t chunk_bytes = 1 << 16;  // owned bytes per window (multiple of 256)
-  // Keys generated in lockstep per shard (see EngineOptions::interleave and
-  // the StreamShardSink window-ordering note above). 0 = auto, 1 = scalar.
+  // 0 = the lane kernel, 1 = the scalar reference path (see
+  // EngineOptions::interleave and the StreamShardSink window-ordering note).
   size_t interleave = 0;
 };
 

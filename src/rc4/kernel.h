@@ -1,12 +1,12 @@
 // Type-erased RC4 lane kernel: W independent RC4 streams advanced in
-// lockstep behind one virtual interface, so the engine picks the lane count
-// at runtime without changing a single consumer. The only implementation is
-// Rc4MultiStream<W> (src/rc4/kernel_registry.cc).
+// lockstep behind one virtual interface, built through KernelDesc::make by
+// the engines and perfbench's replay. The only implementation is
+// Rc4MultiStream<kLaneWidth> (src/rc4/kernel_registry.cc).
 //
 // The contract is exactly Rc4MultiStream's (src/rc4/rc4_multi.h): after
 // Init() with W keys, lane m's byte sequence is bit-identical to a scalar
 // Rc4 over key m — a kernel only reorders the schedule, never the per-key
-// math. tests/rc4/rc4_multi_test.cc pins this for every supported width.
+// math. tests/rc4/rc4_multi_test.cc pins this for a sweep of widths.
 #ifndef SRC_RC4_KERNEL_H_
 #define SRC_RC4_KERNEL_H_
 

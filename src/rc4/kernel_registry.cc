@@ -32,22 +32,10 @@ class ScalarLaneKernel final : public Rc4LaneKernel {
 };
 
 std::unique_ptr<Rc4LaneKernel> MakeScalarKernel(size_t width) {
-  switch (width) {
-    case 1:
-      return std::make_unique<ScalarLaneKernel<1>>();
-    case 2:
-      return std::make_unique<ScalarLaneKernel<2>>();
-    case 4:
-      return std::make_unique<ScalarLaneKernel<4>>();
-    case 8:
-      return std::make_unique<ScalarLaneKernel<8>>();
-    case 16:
-      return std::make_unique<ScalarLaneKernel<16>>();
-    case 32:
-      return std::make_unique<ScalarLaneKernel<32>>();
-    default:
-      return nullptr;
+  if (width != kLaneWidth) {
+    return nullptr;
   }
+  return std::make_unique<ScalarLaneKernel<kLaneWidth>>();
 }
 
 constexpr KernelDesc kScalarKernel = {"scalar", MakeScalarKernel};
@@ -58,20 +46,6 @@ void WarnKernelFallbackOnce(std::string_view name) {
     std::fprintf(stderr,
                  "rc4b: kernel '%.*s' is unknown; falling back to scalar\n",
                  static_cast<int>(name.size()), name.data());
-  }
-}
-
-// ResolveInterleave rounds silently; say what happened, once.
-void LogResolvedWidthOnce(const KernelChoice& choice) {
-  if (choice.requested == 0 || choice.width == choice.requested) {
-    return;
-  }
-  static std::atomic<bool> logged{false};
-  if (!logged.exchange(true)) {
-    std::fprintf(stderr,
-                 "rc4b: interleave %zu resolved to %zu; record both values "
-                 "when comparing bench trajectories\n",
-                 choice.requested, choice.width);
   }
 }
 
@@ -105,17 +79,12 @@ std::string CpuFeatureString() {
   return features.empty() ? "baseline" : features;
 }
 
-KernelChoice ResolveKernelChoice(std::string_view kernel_name,
-                                 size_t requested_interleave) {
+KernelChoice ResolveKernelChoice(std::string_view kernel_name, size_t interleave) {
   if (!kernel_name.empty() && kernel_name != "auto" &&
       kernel_name != kScalarKernel.name) {
     WarnKernelFallbackOnce(kernel_name);
   }
-  const KernelChoice choice{&kScalarKernel,
-                            ResolveInterleave(requested_interleave),
-                            requested_interleave};
-  LogResolvedWidthOnce(choice);
-  return choice;
+  return KernelChoice{&kScalarKernel, interleave == 1 ? 1 : kLaneWidth};
 }
 
 }  // namespace rc4b

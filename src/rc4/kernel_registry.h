@@ -1,11 +1,11 @@
 // The RC4 lane kernel and its dispatch.
 //
 // There is one kernel: the portable round-robin Rc4MultiStream behind the
-// Rc4LaneKernel interface, at the widths of kInterleaveWidths.
-// ResolveKernelChoice turns a requested interleave into a lane count;
-// RunKeystreamEngine, RunLongTermEngine and perfbench's replay all call it,
-// so they run the same width. docs/engine.md records why ISA-specific
-// kernels were measured and dropped.
+// Rc4LaneKernel interface, at kLaneWidth lanes. ResolveKernelChoice maps an
+// interleave setting (0 = the lane kernel, 1 = the scalar reference path) to
+// a lane count; RunKeystreamEngine, RunLongTermEngine and perfbench's replay
+// all call it, so they run the same width. docs/engine.md records why
+// ISA-specific kernels and other widths were measured and dropped.
 #ifndef SRC_RC4_KERNEL_REGISTRY_H_
 #define SRC_RC4_KERNEL_REGISTRY_H_
 
@@ -20,31 +20,28 @@ namespace rc4b {
 
 struct KernelDesc {
   std::string_view name;  // "scalar"
-  std::unique_ptr<Rc4LaneKernel> (*make)(size_t width);  // nullptr: bad width
+  // Builds the kernel at `width` lanes; nullptr unless width == kLaneWidth.
+  std::unique_ptr<Rc4LaneKernel> (*make)(size_t width);
 };
 
 // CPU features of the running machine, comma-separated (e.g.
-// "ssse3,avx2"); "baseline" when none. Recorded in every BENCH_*.json so
-// trajectory points carry their hardware context.
+// "ssse3,avx2"); "baseline" when none. Benchmark reports record it so their
+// numbers carry their hardware context.
 std::string CpuFeatureString();
 
-// A dispatch decision: the kernel at a lane width, plus the raw requested
-// interleave so benches can record both sides of the rounding.
+// A dispatch decision: the kernel at a lane count.
 struct KernelChoice {
   const KernelDesc* kernel = nullptr;  // never null after resolution
-  size_t width = 1;                    // resolved lane count (>= 1)
-  size_t requested = 0;                // EngineOptions::interleave, verbatim
+  size_t width = 1;                    // 1 (scalar reference) or kLaneWidth
 
   std::string_view name() const { return kernel->name; }
 };
 
-// Resolves (kernel name, requested interleave) to a runnable configuration:
-// the scalar kernel at ResolveInterleave(requested_interleave). `kernel_name`
-// may be "", "auto" or "scalar"; any other name warns once on stderr and
-// falls back to scalar. The first request whose width had to be rounded
-// logs the resolution once.
-KernelChoice ResolveKernelChoice(std::string_view kernel_name,
-                                 size_t requested_interleave);
+// Resolves (kernel name, interleave) to a runnable configuration: width 1
+// for interleave == 1, kLaneWidth for any other value. `kernel_name` may be
+// "", "auto" or "scalar"; any other name warns once on stderr and falls back
+// to scalar.
+KernelChoice ResolveKernelChoice(std::string_view kernel_name, size_t interleave);
 
 }  // namespace rc4b
 

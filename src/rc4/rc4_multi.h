@@ -11,8 +11,8 @@
 // the math. tests/rc4/rc4_multi_test.cc pins this for every supported M.
 //
 // This is the hot-path kernel under src/engine/keystream_engine.cc; the
-// engine dispatches on the runtime-selected width (EngineOptions::interleave)
-// and falls back to scalar Rc4 for tail groups smaller than M.
+// engine runs it at kLaneWidth and falls back to scalar Rc4 for tail groups
+// smaller than that.
 #ifndef SRC_RC4_RC4_MULTI_H_
 #define SRC_RC4_RC4_MULTI_H_
 
@@ -25,8 +25,8 @@
 namespace rc4b {
 
 // M independent RC4 instances in lockstep. M is a compile-time width so the
-// per-byte round-robin loop fully unrolls; supported widths are enumerated in
-// kInterleaveWidths below and runtime dispatch lives with the caller.
+// per-byte round-robin loop fully unrolls; the engine instantiates only
+// kLaneWidth, the tests sweep other widths.
 template <size_t M>
 class Rc4MultiStream {
  public:
@@ -97,20 +97,10 @@ class Rc4MultiStream {
   uint8_t i_ = 0;
 };
 
-// Widths the engine can dispatch to (1 = scalar Rc4). Powers of two keep the
-// default batch_keys (256) an exact multiple, so batches have no scalar tail.
-inline constexpr size_t kInterleaveWidths[] = {1, 2, 4, 8, 16, 32};
-
-// Auto width (EngineOptions::interleave == 0). Tuned with the
-// bench_throughput BM_Rc4Multi* sweep and bench_engine_sharded: 8 streams
-// roughly double generation throughput on the cores we measured, while 16+
-// starts spilling j/S accesses; re-tune per deployment with --interleave.
-inline constexpr size_t kDefaultInterleave = 8;
-
-// Maps a requested interleave width to a supported one: 0 selects
-// kDefaultInterleave, anything else rounds down to the nearest entry of
-// kInterleaveWidths (so e.g. 12 -> 8, 100 -> 32).
-size_t ResolveInterleave(size_t requested);
+// The engine's lockstep width. A single-thread sweep at 2^18 keys found no
+// width that beats 8: single-byte throughput was 385-399k keys/s at 4,
+// 420-464k at 8, 382-454k at 16 and 327-403k at 32 (docs/engine.md).
+inline constexpr size_t kLaneWidth = 8;
 
 }  // namespace rc4b
 

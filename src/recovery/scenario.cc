@@ -129,7 +129,6 @@ class SingleByteScenario : public Scenario {
     dataset.keys = OrDefault(params.model_keys, config_.default_model_keys);
     dataset.workers = params.workers;
     dataset.seed = sim::TrialSeed(params.seed, kModelStream);
-    dataset.interleave = params.interleave;
     dataset.cache_dir = params.grid_cache;
     const SingleByteGrid grid = GenerateSingleByteDataset(last, dataset);
 

@@ -31,10 +31,6 @@ struct ScenarioParams {
   uint64_t samples = 0;     // captured frames / requests per trial
   uint64_t budget = 0;      // candidate / brute-force attempt budget
   uint64_t model_keys = 0;  // attacker-model scale (keys per class / total)
-  // RC4 lockstep width for engine-backed scenario setup (0 = auto,
-  // 1 = scalar; see EngineOptions::interleave). Outcomes are bit-identical
-  // for any width — this is a perf/diagnosis knob only.
-  size_t interleave = 0;
   // When set, engine-backed scenarios warm-start their attacker-model grids
   // from this store::GridCache directory (docs/store.md) instead of
   // regenerating each run. Cached and fresh grids are bit-identical, so

@@ -1,8 +1,9 @@
 // Counter grids for keystream statistics.
 //
 // Mirrors the paper's dataset-generation optimizations (Sect. 3.2): workers
-// accumulate into 16-bit counters (cache friendly; safe for <= 2^15 keys per
-// flush even under strong biases) and periodically flush into 64-bit merge
+// accumulate into 16-bit counters (cache friendly; the flush cadence that
+// keeps them from wrapping is argued once, at kKeysPerFlush in
+// src/engine/accumulators.cc) and periodically flush into 64-bit merge
 // grids. Grids are indexed (position, value) for single-byte statistics and
 // (position, value1, value2) for digraph statistics.
 #ifndef SRC_STATS_COUNTERS_H_

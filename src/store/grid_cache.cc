@@ -106,8 +106,7 @@ IoStatus GridCache::TryLoad(const GridMeta& want, StoredGrid* out) const {
   return IoStatus::Ok();
 }
 
-StoredGrid GridCache::LoadOrGenerate(const GridMeta& want, unsigned workers,
-                                     size_t interleave) {
+StoredGrid GridCache::LoadOrGenerate(const GridMeta& want, unsigned workers) {
   const std::string path = PathFor(want);
   StoredGrid stored;
   IoStatus status = TryLoad(want, &stored);
@@ -120,7 +119,7 @@ StoredGrid GridCache::LoadOrGenerate(const GridMeta& want, unsigned workers,
     std::fprintf(stderr, "grid cache: regenerating: %s\n",
                  status.message().c_str());
   }
-  stored = GenerateStoredGrid(want, workers, interleave);
+  stored = GenerateStoredGrid(want, workers, 0);
   if (IoStatus made = MakeDirs(dir_); !made.ok()) {
     std::fprintf(stderr, "grid cache: %s (grid not stored)\n",
                  made.message().c_str());
@@ -138,16 +137,14 @@ SingleByteGrid GridCache::LoadOrGenerateSingleByte(size_t positions,
                                                    DatasetOptions options) {
   const GridMeta want = MetaForSingleByte(positions, options);
   options.cache_dir.clear();  // the generate path must not re-enter the cache
-  return ToSingleByteGrid(
-      LoadOrGenerate(want, options.workers, options.interleave));
+  return ToSingleByteGrid(LoadOrGenerate(want, options.workers));
 }
 
 DigraphGrid GridCache::LoadOrGenerateConsecutive(size_t positions,
                                                  DatasetOptions options) {
   const GridMeta want = MetaForConsecutive(positions, options);
   options.cache_dir.clear();
-  return ToDigraphGrid(
-      LoadOrGenerate(want, options.workers, options.interleave));
+  return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 
 DigraphGrid GridCache::LoadOrGeneratePair(
@@ -155,15 +152,13 @@ DigraphGrid GridCache::LoadOrGeneratePair(
     DatasetOptions options) {
   const GridMeta want = MetaForPair(pairs, options);
   options.cache_dir.clear();
-  return ToDigraphGrid(
-      LoadOrGenerate(want, options.workers, options.interleave));
+  return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 
 DigraphGrid GridCache::LoadOrGenerateLongTermDigraph(LongTermOptions options) {
   const GridMeta want = MetaForLongTermDigraph(options);
   options.cache_dir.clear();
-  return ToDigraphGrid(
-      LoadOrGenerate(want, options.workers, options.interleave));
+  return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 
 }  // namespace rc4b::store

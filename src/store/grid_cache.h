@@ -59,8 +59,7 @@ class GridCache {
   DigraphGrid LoadOrGenerateLongTermDigraph(LongTermOptions options);
 
  private:
-  StoredGrid LoadOrGenerate(const GridMeta& want, unsigned workers,
-                            size_t interleave);
+  StoredGrid LoadOrGenerate(const GridMeta& want, unsigned workers);
 
   std::string dir_;
 };

@@ -225,6 +225,15 @@ IoStatus ValidateMeta(const GridMeta& meta, const std::string& context) {
                             std::to_string(meta.rows) + " rows but " +
                             std::to_string(meta.pairs.size()) + " pairs");
     }
+    // Keystream positions are 1-based and each pair is read as (Z_a, Z_b)
+    // with a < b; anything else would index outside the generated rows.
+    for (const auto& [a, b] : meta.pairs) {
+      if (a < 1 || a >= b) {
+        return IoStatus::Fail(context + ": bad position pair " +
+                              std::to_string(a) + ":" + std::to_string(b) +
+                              " (need 1 <= a < b)");
+      }
+    }
   } else if (!meta.pairs.empty()) {
     return IoStatus::Fail(context + ": non-pair grid carries a pair list");
   }

@@ -78,7 +78,8 @@ struct GridMeta {
   friend bool operator==(const GridMeta&, const GridMeta&) = default;
 };
 
-// Internal consistency: nonzero rows, ordered key range, pairs iff kPair.
+// Internal consistency: nonzero rows, ordered key range, pairs iff kPair,
+// and every pair (a, b) satisfies 1 <= a < b.
 IoStatus ValidateMeta(const GridMeta& meta, const std::string& context);
 
 // Do two grids describe slices of the same logical dataset? Everything must

@@ -25,14 +25,19 @@ bool ParseU64(std::string_view text, uint64_t* out) {
   return ec == std::errc() && ptr == end;
 }
 
+}  // namespace
+
 IoStatus ParsePairs(std::string_view text, const std::string& context,
                     std::vector<std::pair<uint32_t, uint32_t>>* out) {
   out->clear();
-  while (!text.empty()) {
-    const size_t comma = text.find(',');
-    const std::string_view item = text.substr(0, comma);
-    text = comma == std::string_view::npos ? std::string_view()
-                                           : text.substr(comma + 1);
+  if (text.empty()) {
+    return IoStatus::Ok();
+  }
+  // Every comma starts another item, so a trailing comma leaves an empty
+  // last item that fails like any other malformed pair.
+  for (size_t begin = 0;;) {
+    const size_t comma = text.find(',', begin);
+    const std::string_view item = text.substr(begin, comma - begin);
     const size_t colon = item.find(':');
     uint64_t a = 0;
     uint64_t b = 0;
@@ -43,11 +48,13 @@ IoStatus ParsePairs(std::string_view text, const std::string& context,
                             "\" (expected a:b)");
     }
     out->emplace_back(static_cast<uint32_t>(a), static_cast<uint32_t>(b));
+    if (comma == std::string_view::npos) {
+      break;
+    }
+    begin = comma + 1;
   }
   return IoStatus::Ok();
 }
-
-}  // namespace
 
 Manifest PlanShards(const GridMeta& grid, uint32_t shard_count,
                     const std::string& prefix) {

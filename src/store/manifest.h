@@ -29,6 +29,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/store/grid_file.h"
@@ -70,6 +72,13 @@ IoStatus ValidateManifest(const Manifest& manifest, const std::string& context);
 // Serializes atomically / parses with field-level diagnostics.
 IoStatus WriteManifest(const std::string& path, const Manifest& manifest);
 IoStatus ReadManifest(const std::string& path, Manifest* out);
+
+// Parses the manifest's pair syntax, "a:b,c:d,..." with decimal positions,
+// into `out`; empty text yields an empty list. Anything else fails with a
+// diagnostic prefixed by `context`. Position ranges are checked later, by
+// ValidateMeta.
+IoStatus ParsePairs(std::string_view text, const std::string& context,
+                    std::vector<std::pair<uint32_t, uint32_t>>* out);
 
 // Resolves a manifest-relative shard path against the manifest's directory.
 std::string ResolveManifestPath(const std::string& manifest_path,

@@ -7,7 +7,7 @@
 
 #include "src/biases/dataset.h"
 #include "src/common/fault_injector.h"
-#include "src/rc4/rc4_multi.h"
+#include "src/rc4/kernel_registry.h"
 
 namespace rc4b::store {
 
@@ -35,7 +35,7 @@ StoredGrid GenerateStoredGrid(const GridMeta& meta, unsigned workers,
                               size_t interleave) {
   StoredGrid out;
   out.meta = meta;
-  out.meta.interleave = ResolveInterleave(interleave);
+  out.meta.interleave = ResolveKernelChoice("", interleave).width;
   switch (meta.kind) {
     case GridKind::kSingleByte: {
       const SingleByteGrid grid = GenerateSingleByteDataset(
@@ -165,7 +165,7 @@ IoStatus RunShard(const Manifest& manifest, const std::string& manifest_path,
     step_meta.key_begin = progress;
     step_meta.key_end = std::min(progress + step, shard.key_end);
     const StoredGrid piece =
-        GenerateStoredGrid(step_meta, options.workers, options.interleave);
+        GenerateStoredGrid(step_meta, options.workers, 0);
     for (size_t i = 0; i < partial.cells.size(); ++i) {
       partial.cells[i] += piece.cells[i];
     }

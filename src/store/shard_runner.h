@@ -7,7 +7,7 @@
 // its last snapshot without recomputing finished keys, and because every
 // step covers an explicit global key slice, the final shard grid is
 // bit-identical whether the shard ran straight through, was killed and
-// resumed, or used a different interleave width or worker count per run.
+// resumed, or used a different worker count per run.
 #ifndef SRC_STORE_SHARD_RUNNER_H_
 #define SRC_STORE_SHARD_RUNNER_H_
 
@@ -22,7 +22,9 @@ namespace rc4b::store {
 
 // Generates the grid described by `meta` in-process over its full key range
 // — the single dispatch point over the four dataset families that the shard
-// runner, the cache, and the reference-grid tool share.
+// runner, the cache, and the reference-grid tool share. `interleave` is 0
+// for the lane kernel or 1 for the scalar reference path (see
+// EngineOptions::interleave); the cells are identical either way.
 StoredGrid GenerateStoredGrid(const GridMeta& meta, unsigned workers,
                               size_t interleave);
 
@@ -38,7 +40,6 @@ struct ShardRunOptions {
   // checkpoints (one shot straight to the final file).
   uint64_t checkpoint_keys = uint64_t{1} << 16;
   unsigned workers = 0;    // in-shard threads (0 = hardware concurrency)
-  size_t interleave = 0;   // lockstep width (0 = auto; bit-exact for all)
   // Test/CI kill hook: stop (with a checkpoint on disk, exit success,
   // finished == false) once at least this many keys were newly generated
   // this invocation. 0 = run to completion.

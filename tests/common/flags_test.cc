@@ -64,5 +64,70 @@ TEST(FlagsTest, HelpReturnsFalse) {
   EXPECT_FALSE(flags.Parse(2, argv));
 }
 
+// A flag set holding one flag, "value", set to `text`.
+FlagSet WithValue(const std::string& text) {
+  FlagSet flags("test");
+  flags.Define("value", text, "");
+  return flags;
+}
+
+TEST(FlagsTest, ValidValuesParse) {
+  EXPECT_EQ(WithValue("0x80000").GetUint("value"), 0x80000u);
+  EXPECT_EQ(WithValue("18446744073709551615").GetUint("value"), UINT64_MAX);
+  EXPECT_EQ(WithValue("-7").GetInt("value"), -7);
+  EXPECT_EQ(WithValue("-0x10").GetInt("value"), -16);
+  EXPECT_DOUBLE_EQ(WithValue("-1.5e3").GetDouble("value"), -1500.0);
+  EXPECT_DOUBLE_EQ(WithValue(".25").GetDouble("value"), 0.25);
+  EXPECT_TRUE(WithValue("on").GetBool("value"));
+  EXPECT_FALSE(WithValue("0").GetBool("value"));
+  EXPECT_FALSE(WithValue("no").GetBool("value"));
+}
+
+TEST(FlagsDeathTest, GarbageUnsignedExits2) {
+  for (const char* bad : {"abc", "", "12abc", "-1", "+1", "0x", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_EXIT(WithValue(bad).GetUint("value"), ::testing::ExitedWithCode(2),
+                "flag --value: expected an unsigned integer")
+        << bad;
+  }
+}
+
+TEST(FlagsDeathTest, GarbageSignedExits2) {
+  for (const char* bad : {"abc", "", "7x", "9223372036854775808"}) {
+    EXPECT_EXIT(WithValue(bad).GetInt("value"), ::testing::ExitedWithCode(2),
+                "flag --value: expected an integer")
+        << bad;
+  }
+}
+
+TEST(FlagsDeathTest, GarbageDoubleExits2) {
+  for (const char* bad : {"abc", "", "0.5x", "1e999"}) {
+    EXPECT_EXIT(WithValue(bad).GetDouble("value"), ::testing::ExitedWithCode(2),
+                "flag --value: expected a number")
+        << bad;
+  }
+}
+
+TEST(FlagsDeathTest, UnknownBoolExits2) {
+  for (const char* bad : {"ture", "", "False", "2"}) {
+    EXPECT_EXIT(WithValue(bad).GetBool("value"), ::testing::ExitedWithCode(2),
+                "flag --value: expected true/false")
+        << bad;
+  }
+}
+
+TEST(FlagsDeathTest, WorkersMinusOneExits2AfterParse) {
+  // The reported failure: --workers -1 used to become 4294967295 threads.
+  FlagSet flags("test");
+  flags.Define("workers", "0", "");
+  char prog[] = "prog";
+  char a1[] = "--workers";
+  char a2[] = "-1";
+  char* argv[] = {prog, a1, a2};
+  ASSERT_TRUE(flags.Parse(3, argv));
+  EXPECT_EXIT(flags.GetUint("workers"), ::testing::ExitedWithCode(2),
+              "flag --workers");
+}
+
 }  // namespace
 }  // namespace rc4b

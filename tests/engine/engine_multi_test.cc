@@ -7,68 +7,72 @@
 namespace rc4b {
 namespace {
 
-// Engine-level bit-exactness of the interleaved multi-stream path: for every
-// supported width, every accumulator's merged grid must equal the scalar
-// (interleave = 1) reference, for 1/2/4 workers, including tail groups
-// (keys % M != 0) and nonzero drop. This is the golden-output guarantee that
-// lets the kernel be the default batch producer.
+// Engine-level bit-exactness of the lockstep lane kernel: every
+// accumulator's merged grid must equal the scalar reference path
+// (interleave = 1) for 1/2/4 workers, including tail groups
+// (keys % kLaneWidth != 0) and nonzero drop. This is the golden-output
+// guarantee that lets the kernel be the default batch producer.
 
-constexpr size_t kWidths[] = {2, 4, 8, 16, 32};
+constexpr unsigned kWorkerCounts[] = {1, 2, 4};
+// Key and batch counts that leave scalar tails after the lockstep groups.
+constexpr uint64_t kShortTermKeys = 1037;
+constexpr size_t kBatchKeys = 45;
+// At 4 workers every shard still runs one full lockstep group.
+constexpr uint64_t kLongTermKeys = 4 * kLaneWidth + 5;
+static_assert(kShortTermKeys % kLaneWidth != 0 && kBatchKeys % kLaneWidth != 0);
 
+// interleave: 0 = the lane kernel, 1 = the scalar reference path.
 EngineOptions ShortTermOptions(size_t interleave, unsigned workers) {
   EngineOptions options;
-  options.keys = 1037;  // not divisible by any width: scalar tails everywhere
+  options.keys = kShortTermKeys;
   options.workers = workers;
   options.seed = 23;
   options.drop = 3;
-  options.batch_keys = 48;  // not a multiple of 32: per-batch tails too
+  options.batch_keys = kBatchKeys;
   options.interleave = interleave;
   return options;
 }
 
-TEST(EngineMultiStreamTest, SingleByteGridMatchesScalarPath) {
-  SingleByteAccumulator reference(8);
-  RunKeystreamEngine(ShortTermOptions(1, 1), reference);
-  for (const size_t width : kWidths) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      SingleByteAccumulator multi(8);
-      RunKeystreamEngine(ShortTermOptions(width, workers), multi);
-      ASSERT_TRUE(reference.grid() == multi.grid())
-          << "interleave=" << width << " workers=" << workers;
-    }
+// Runs the lane kernel at each worker count and the scalar path on one
+// worker, and compares the accumulators with `same`.
+template <typename Accumulator, typename Make, typename Same, typename Run,
+          typename Options>
+void ExpectLockstepMatchesScalar(Make make, Same same, Run run,
+                                 Options (*options)(size_t, unsigned)) {
+  Accumulator reference = make();
+  run(options(1, 1), reference);
+  for (const unsigned workers : kWorkerCounts) {
+    Accumulator lockstep = make();
+    run(options(0, workers), lockstep);
+    ASSERT_TRUE(same(reference, lockstep)) << "workers=" << workers;
   }
 }
 
+template <typename Accumulator, typename Make>
+void ExpectShortTermMatches(Make make) {
+  ExpectLockstepMatchesScalar<Accumulator>(
+      make,
+      [](const Accumulator& a, const Accumulator& b) { return a.grid() == b.grid(); },
+      [](const EngineOptions& o, Accumulator& acc) { RunKeystreamEngine(o, acc); },
+      ShortTermOptions);
+}
+
+TEST(EngineMultiStreamTest, SingleByteGridMatchesScalarPath) {
+  ExpectShortTermMatches<SingleByteAccumulator>([] { return SingleByteAccumulator(8); });
+}
+
 TEST(EngineMultiStreamTest, ConsecutiveGridMatchesScalarPath) {
-  ConsecutiveAccumulator reference(4);
-  RunKeystreamEngine(ShortTermOptions(1, 1), reference);
-  for (const size_t width : kWidths) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      ConsecutiveAccumulator multi(4);
-      RunKeystreamEngine(ShortTermOptions(width, workers), multi);
-      ASSERT_TRUE(reference.grid() == multi.grid())
-          << "interleave=" << width << " workers=" << workers;
-    }
-  }
+  ExpectShortTermMatches<ConsecutiveAccumulator>([] { return ConsecutiveAccumulator(4); });
 }
 
 TEST(EngineMultiStreamTest, PairGridMatchesScalarPath) {
   const std::vector<std::pair<uint32_t, uint32_t>> pairs = {{1, 2}, {3, 16}};
-  PairAccumulator reference(pairs);
-  RunKeystreamEngine(ShortTermOptions(1, 1), reference);
-  for (const size_t width : kWidths) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      PairAccumulator multi(pairs);
-      RunKeystreamEngine(ShortTermOptions(width, workers), multi);
-      ASSERT_TRUE(reference.grid() == multi.grid())
-          << "interleave=" << width << " workers=" << workers;
-    }
-  }
+  ExpectShortTermMatches<PairAccumulator>([&] { return PairAccumulator(pairs); });
 }
 
 LongTermEngineOptions LongTermOptions(size_t interleave, unsigned workers) {
   LongTermEngineOptions options;
-  options.keys = 5;  // 5 % M != 0 for every width: scalar key remainder
+  options.keys = kLongTermKeys;
   options.bytes_per_key = (1 << 13) + 512;  // tail window below chunk_bytes
   options.drop = 512;
   options.workers = workers;
@@ -78,48 +82,39 @@ LongTermEngineOptions LongTermOptions(size_t interleave, unsigned workers) {
   return options;
 }
 
+template <typename Accumulator, typename Make, typename Same>
+void ExpectLongTermMatches(Make make, Same same) {
+  ExpectLockstepMatchesScalar<Accumulator>(
+      make, same,
+      [](const LongTermEngineOptions& o, Accumulator& acc) { RunLongTermEngine(o, acc); },
+      LongTermOptions);
+}
+
 TEST(EngineMultiStreamTest, LongTermDigraphGridMatchesScalarPath) {
-  LongTermDigraphAccumulator reference;
-  RunLongTermEngine(LongTermOptions(1, 1), reference);
-  for (const size_t width : kWidths) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      LongTermDigraphAccumulator multi;
-      RunLongTermEngine(LongTermOptions(width, workers), multi);
-      ASSERT_TRUE(reference.grid() == multi.grid())
-          << "interleave=" << width << " workers=" << workers;
-    }
-  }
+  ExpectLongTermMatches<LongTermDigraphAccumulator>(
+      [] { return LongTermDigraphAccumulator(); },
+      [](const LongTermDigraphAccumulator& a, const LongTermDigraphAccumulator& b) {
+        return a.grid() == b.grid();
+      });
 }
 
-TEST(EngineMultiStreamTest, AbsabAndAlignedPairsMatchScalarPath) {
-  // ABSAB exercises lookahead carry across lockstep windows; AlignedPair
-  // exercises the hoisted ExtraDrop() (255-byte realignment) on every path.
-  AbsabAccumulator absab_reference(6);
-  RunLongTermEngine(LongTermOptions(1, 1), absab_reference);
-  AlignedPairAccumulator aligned_reference(0, 2);
-  RunLongTermEngine(LongTermOptions(1, 1), aligned_reference);
-  for (const size_t width : kWidths) {
-    AbsabAccumulator absab(6);
-    RunLongTermEngine(LongTermOptions(width, 2), absab);
-    ASSERT_EQ(absab_reference.matches(), absab.matches()) << "width=" << width;
-    ASSERT_EQ(absab_reference.samples(), absab.samples()) << "width=" << width;
-
-    AlignedPairAccumulator aligned(0, 2);
-    RunLongTermEngine(LongTermOptions(width, 2), aligned);
-    ASSERT_EQ(aligned_reference.counts(), aligned.counts()) << "width=" << width;
-  }
+TEST(EngineMultiStreamTest, AbsabMatchesScalarPath) {
+  // ABSAB exercises lookahead carry across lockstep windows.
+  ExpectLongTermMatches<AbsabAccumulator>(
+      [] { return AbsabAccumulator(6); },
+      [](const AbsabAccumulator& a, const AbsabAccumulator& b) {
+        return a.matches() == b.matches() && a.samples() == b.samples();
+      });
 }
 
-TEST(EngineMultiStreamTest, AutoWidthEqualsResolvedDefault) {
-  // interleave = 0 must behave exactly like the resolved default width.
-  SingleByteAccumulator auto_width(6);
-  RunKeystreamEngine(ShortTermOptions(0, 2), auto_width);
-  SingleByteAccumulator pinned(6);
-  RunKeystreamEngine(ShortTermOptions(kDefaultInterleave, 2), pinned);
-  SingleByteAccumulator scalar(6);
-  RunKeystreamEngine(ShortTermOptions(1, 1), scalar);
-  EXPECT_TRUE(auto_width.grid() == pinned.grid());
-  EXPECT_TRUE(auto_width.grid() == scalar.grid());
+TEST(EngineMultiStreamTest, AlignedPairsMatchScalarPath) {
+  // AlignedPair exercises the hoisted ExtraDrop() (255-byte realignment) on
+  // both paths.
+  ExpectLongTermMatches<AlignedPairAccumulator>(
+      [] { return AlignedPairAccumulator(0, 2); },
+      [](const AlignedPairAccumulator& a, const AlignedPairAccumulator& b) {
+        return a.counts() == b.counts();
+      });
 }
 
 }  // namespace

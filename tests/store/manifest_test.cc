@@ -96,6 +96,54 @@ TEST(ManifestTest, ReadRejectsWrongHeader) {
   std::remove(path.c_str());
 }
 
+TEST(ManifestTest, ValidateRejectsPairsOutsideOneToB) {
+  // Pair positions are 1-based with a < b. A 0 would make the pair sink
+  // index row -1 (a wrapped u32), and b <= a reads past a short keystream
+  // row; both must fail validation, not reach the engine.
+  for (const auto& pair : {std::pair<uint32_t, uint32_t>{0, 2},
+                           std::pair<uint32_t, uint32_t>{5, 3},
+                           std::pair<uint32_t, uint32_t>{4, 4}}) {
+    Manifest manifest = PlanShards(PairMeta(), 2, "p");
+    manifest.grid.pairs[1] = pair;
+    const IoStatus status = ValidateManifest(manifest, "ctx");
+    EXPECT_FALSE(status.ok()) << pair.first << ":" << pair.second;
+    EXPECT_NE(status.message().find("1 <= a < b"), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(ManifestTest, ReadRejectsPairZero) {
+  const std::string path = TempPath("pair-zero.manifest");
+  ASSERT_TRUE(WriteFileAtomic(path,
+                              "rc4b-grid-manifest 1\n"
+                              "kind pair\n"
+                              "key_begin 0\n"
+                              "key_end 64\n"
+                              "rows 1\n"
+                              "pairs 0:2\n"
+                              "shard 0 64 s0.grid\n")
+                  .ok());
+  Manifest loaded;
+  const IoStatus status = ReadManifest(path, &loaded);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("0:2"), std::string::npos) << status.message();
+  std::remove(path.c_str());
+}
+
+TEST(ManifestTest, ParsePairsIsStrictDecimal) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  ASSERT_TRUE(ParsePairs("1:2,3:16", "ctx", &pairs).ok());
+  EXPECT_EQ(pairs, (std::vector<std::pair<uint32_t, uint32_t>>{{1, 2}, {3, 16}}));
+  ASSERT_TRUE(ParsePairs("", "ctx", &pairs).ok());
+  EXPECT_TRUE(pairs.empty());
+  for (const char* bad : {"x:2", "1:", ":2", "1-2", "0x1:2", "1:2:3", "-1:2",
+                          "1:4294967296", "1:2,"}) {
+    const IoStatus status = ParsePairs(bad, "ctx", &pairs);
+    EXPECT_FALSE(status.ok()) << bad;
+    EXPECT_EQ(status.message().rfind("ctx", 0), 0u) << status.message();
+  }
+}
+
 TEST(ManifestTest, ResolvesShardPathsAgainstManifestDirectory) {
   EXPECT_EQ(ResolveManifestPath("/data/run/grid.manifest", "s0.grid"),
             "/data/run/s0.grid");

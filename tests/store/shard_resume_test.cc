@@ -1,6 +1,7 @@
 // The resume contract of docs/store.md: a shard killed between checkpoints
 // and rerun produces a final grid byte-identical to an uninterrupted run,
 // for every generator family; corrupt state is a loud error.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -83,6 +84,29 @@ TEST(ShardResumeTest, KilledShardResumesBitExactlyForEveryKind) {
     EXPECT_TRUE(
         CheckGridsEqual(straight, resumed, "uninterrupted", "resumed").ok());
     std::remove(shard_path.c_str());
+  }
+}
+
+TEST(ShardResumeTest, ScalarReferencePathStoresIdenticalCells) {
+  // interleave survives below the CLI only as this oracle switch: the
+  // scalar path (1) and the lane kernel (0) must store the same cells, with
+  // tail groups on both workers (2 * kLaneWidth + 3 long-term keys).
+  for (const GridKind kind :
+       {GridKind::kSingleByte, GridKind::kConsecutive, GridKind::kPair,
+        GridKind::kLongTermDigraph}) {
+    SCOPED_TRACE(GridKindName(kind));
+    GridMeta meta = SmallMeta(kind);
+    if (kind == GridKind::kLongTermDigraph) {
+      meta.key_end = 19;
+    }
+    const StoredGrid scalar = GenerateStoredGrid(meta, 2, 1);
+    const StoredGrid lockstep = GenerateStoredGrid(meta, 2, 0);
+    EXPECT_EQ(scalar.meta.samples, lockstep.meta.samples);
+    EXPECT_EQ(scalar.meta.interleave, 1u);
+    EXPECT_EQ(lockstep.meta.interleave, 8u);
+    ASSERT_EQ(scalar.cells.size(), meta.cell_count());
+    EXPECT_TRUE(std::equal(scalar.cells.begin(), scalar.cells.end(),
+                           lockstep.cells.begin(), lockstep.cells.end()));
   }
 }
 

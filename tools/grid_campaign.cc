@@ -56,10 +56,7 @@ int Run(int argc, char** argv) {
       .Define("checkpoint-keys", "0x10000",
               "keys between checkpoint snapshots (also the heartbeat "
               "cadence; keep the per-step time well under the lease TTL)")
-      .Define("workers", "1", "threads inside each worker process")
-      .Define("interleave", "0",
-              "RC4 streams per lockstep group (0 = auto; counts are "
-              "bit-identical for any width)");
+      .Define("workers", "1", "threads inside each worker process");
   if (!flags.Parse(argc, argv)) {
     return 0;
   }
@@ -100,7 +97,6 @@ int Run(int argc, char** argv) {
 
   orchestrate::CampaignOptions options;
   options.shard.workers = static_cast<unsigned>(flags.GetUint("workers"));
-  options.shard.interleave = static_cast<size_t>(flags.GetUint("interleave"));
   options.shard.checkpoint_keys = flags.GetUint("checkpoint-keys");
   options.retry.max_attempts =
       static_cast<uint32_t>(flags.GetUint("max-attempts"));

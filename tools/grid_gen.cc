@@ -34,9 +34,6 @@ int Run(int argc, char** argv) {
               "instead of a shard: generate the manifest's full key range "
               "in-process and write it to this path")
       .Define("workers", "0", "worker threads (0 = all cores)")
-      .Define("interleave", "0",
-              "RC4 streams per lockstep group (0 = auto, 1 = scalar; counts "
-              "are bit-identical for any width)")
       .Define("checkpoint-keys", "0x10000",
               "shard mode: keys between checkpoint snapshots (0 = none)")
       .Define("stop-after-keys", "0",
@@ -55,12 +52,11 @@ int Run(int argc, char** argv) {
   }
 
   const unsigned workers = static_cast<unsigned>(flags.GetUint("workers"));
-  const size_t interleave = static_cast<size_t>(flags.GetUint("interleave"));
 
   const std::string reference = flags.GetString("reference");
   if (!reference.empty()) {
     const store::StoredGrid grid =
-        store::GenerateStoredGrid(manifest.grid, workers, interleave);
+        store::GenerateStoredGrid(manifest.grid, workers, 0);
     if (IoStatus status =
             store::WriteGridFile(reference, grid.meta, grid.cells);
         !status.ok()) {
@@ -75,7 +71,6 @@ int Run(int argc, char** argv) {
 
   store::ShardRunOptions options;
   options.workers = workers;
-  options.interleave = interleave;
   options.checkpoint_keys = flags.GetUint("checkpoint-keys");
   options.stop_after_keys = flags.GetUint("stop-after-keys");
   const uint32_t shard = static_cast<uint32_t>(flags.GetUint("shard"));

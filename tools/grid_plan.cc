@@ -16,29 +16,6 @@
 namespace rc4b {
 namespace {
 
-// "a:b,c:d" -> [(a, b), (c, d)]; the manifest's pairs syntax.
-bool ParsePairList(const std::string& text,
-                   std::vector<std::pair<uint32_t, uint32_t>>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    const std::string item = text.substr(pos, comma - pos);
-    const size_t colon = item.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size()) {
-      return false;
-    }
-    out->emplace_back(
-        static_cast<uint32_t>(std::stoul(item.substr(0, colon), nullptr, 0)),
-        static_cast<uint32_t>(std::stoul(item.substr(colon + 1), nullptr, 0)));
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 int Run(int argc, char** argv) {
   FlagSet flags(
       "Plans a sharded grid generation: writes the manifest that grid_gen "
@@ -53,7 +30,8 @@ int Run(int argc, char** argv) {
       .Define("seed", "1", "AES-CTR key-generator seed")
       .Define("first-key", "0", "global index of the first key")
       .Define("rows", "256", "keystream positions (ignored for pair/longterm)")
-      .Define("pairs", "", "kind pair only: position pairs \"a:b,c:d,...\"")
+      .Define("pairs", "", "kind pair only: decimal position pairs \"a:b,c:d,...\" "
+              "with 1 <= a < b")
       .Define("drop", "1024", "longterm only: initial bytes dropped per key")
       .Define("bytes-per-key", "0x1000000", "longterm only: bytes kept per key")
       .Define("shards", "4", "number of independent shards")
@@ -120,7 +98,13 @@ int Run(int argc, char** argv) {
       grid.rows = flags.GetUint("rows");
       break;
     case store::GridKind::kPair:
-      if (!ParsePairList(flags.GetString("pairs"), &grid.pairs)) {
+      if (IoStatus status = store::ParsePairs(flags.GetString("pairs"),
+                                              "grid_plan: --pairs", &grid.pairs);
+          !status.ok()) {
+        std::fprintf(stderr, "%s\n", status.message().c_str());
+        return kExitFatal;
+      }
+      if (grid.pairs.empty()) {
         std::fprintf(stderr, "kind pair requires --pairs \"a:b,c:d,...\"\n");
         return kExitFatal;
       }

@@ -2,8 +2,8 @@
 """Determinism lint for the bit-exactness-critical directories.
 
 The engine/sim/store/recovery stack promises bit-identical results for any
-worker count, interleave width, kernel, shard split, or kill/resume schedule
-(see docs/engine.md and docs/store.md). That contract dies quietly the moment
+worker count, lane kernel or scalar reference path, shard split, or
+kill/resume schedule (see docs/engine.md and docs/store.md). That contract dies quietly the moment
 a source file reaches for ambient nondeterminism, so this lint bans it at
 review time instead of debugging it at merge time:
 
