@@ -1,7 +1,6 @@
 // Throughput of the src/sim/ trial-parallel simulation subsystem:
 // TKIP-attack trials per second with 1 worker vs all cores, plus a re-check
-// of the worker-count bit-exactness contract (docs/sim.md) on every run —
-// mirroring what bench_engine_sharded does for the keystream engine.
+// of the worker-count bit-exactness contract (docs/sim.md) on every run.
 //
 // Scaling factors need a multi-core host to mean anything.
 #include <chrono>

@@ -214,8 +214,7 @@ BENCHMARK(BM_SparseDoubleByteLikelihood);
 // Sharded keystream-statistics engine: the dataset hot path under every
 // attack scenario. Args are {shard count (0 = all cores), interleave
 // (1 = scalar reference path, 0 = lane kernel)}; items/sec is keystreams/sec.
-// bench_engine_sharded reports the same comparison with a bit-exactness
-// check.
+// tests/engine/engine_multi_test.cc checks the two paths agree bit for bit.
 void BM_EngineSingleByteStats(benchmark::State& state) {
   EngineOptions options;
   options.keys = 1 << 14;

@@ -7,48 +7,32 @@ namespace rc4b {
 
 namespace {
 
-// Flush cadence for 16-bit worker tiles, counted in keys. The largest
-// per-cell probability across our short-term datasets is ~2 * 2^-8 (the
-// Mantin–Shamir Z2 = 0 bias), so per-cell counts stay below ~2^12 per flush —
-// a wide margin under the 2^16 - 1 cap even with batch-sized overshoot.
-constexpr uint64_t kKeysPerFlush = 1 << 19;
-
-// Shard sink shared by all short-term accumulators: a 16-bit tile spilling
-// into a cache-aligned 32-bit shard block; the block merges into the final
-// 64-bit grid exactly once, when the engine retires the shard. Keeping the
-// spill block at 32 bits halves per-shard memory (the paper's counter-size
-// optimization is what lets ~24 digraph workers coexist) and is safe for any
-// shard processing < 2^32 * min-cell-probability^-1 keys — far beyond 2^39
-// keys per shard at our largest (~2^-7.3) cell probability.
+// Shard sink shared by all short-term accumulators: one 16-bit tile of rows
+// of `row_cells` counters, which MergeShard() flushes straight into the
+// accumulator's 64-bit grid (kMaxKeysPerMerge keeps its cells below 2^16).
 class TileShardSink : public ShardSink {
  public:
-  explicit TileShardSink(size_t cells) : tile_(cells), cells_(cells, 0) {}
+  TileShardSink(size_t rows, size_t row_cells)
+      : tile_(rows * row_cells), row_cells_(row_cells) {}
 
-  std::span<const uint32_t> cells() {
-    tile_.FlushInto(cells_);
-    return cells_;
+  // Adds the tile and the `keys` consumed since the last flush into `grid`.
+  template <typename Grid>
+  void FlushInto(Grid& grid, uint64_t keys, const char* owner) {
+    tile_.FlushInto(grid.MutableCells(), row_cells_, keys, owner);
+    grid.AddKeys(keys);
   }
 
  protected:
-  void CountKeysAndMaybeFlush(size_t rows) {
-    keys_since_flush_ += rows;
-    if (keys_since_flush_ >= kKeysPerFlush) {
-      tile_.FlushInto(cells_);
-      keys_since_flush_ = 0;
-    }
-  }
-
   WorkerTile tile_;
 
  private:
-  AlignedVector<uint32_t> cells_;
-  uint64_t keys_since_flush_ = 0;
+  size_t row_cells_;
 };
 
 class SingleByteShardSink : public TileShardSink {
  public:
   explicit SingleByteShardSink(size_t positions)
-      : TileShardSink(positions * 256), positions_(positions) {}
+      : TileShardSink(positions, 256), positions_(positions) {}
 
   void Consume(const KeystreamBatch& batch) override {
     // Position-major: all rows hit one 256-cell tile region before moving
@@ -60,7 +44,6 @@ class SingleByteShardSink : public TileShardSink {
         tile_.Add(pos * 256 + column[r * batch.length]);
       }
     }
-    CountKeysAndMaybeFlush(batch.rows);
   }
 
  private:
@@ -70,7 +53,7 @@ class SingleByteShardSink : public TileShardSink {
 class ConsecutiveShardSink : public TileShardSink {
  public:
   explicit ConsecutiveShardSink(size_t positions)
-      : TileShardSink(positions * 65536), positions_(positions) {}
+      : TileShardSink(positions, 65536), positions_(positions) {}
 
   void Consume(const KeystreamBatch& batch) override {
     // Position-major (see SingleByteShardSink): for a 256-position digraph
@@ -90,7 +73,6 @@ class ConsecutiveShardSink : public TileShardSink {
         tile_.Add(pos * 65536 + static_cast<size_t>(pair[0]) * 256 + pair[1]);
       }
     }
-    CountKeysAndMaybeFlush(batch.rows);
   }
 
  private:
@@ -100,7 +82,7 @@ class ConsecutiveShardSink : public TileShardSink {
 class PairShardSink : public TileShardSink {
  public:
   explicit PairShardSink(const std::vector<std::pair<uint32_t, uint32_t>>& pairs)
-      : TileShardSink(pairs.size() * 65536), pairs_(pairs) {}
+      : TileShardSink(pairs.size(), 65536), pairs_(pairs) {}
 
   void Consume(const KeystreamBatch& batch) override {
     // Pair-major for the same cache reasons as the other short-term sinks.
@@ -113,7 +95,6 @@ class PairShardSink : public TileShardSink {
                   keystream[b]);
       }
     }
-    CountKeysAndMaybeFlush(batch.rows);
   }
 
  private:
@@ -123,23 +104,25 @@ class PairShardSink : public TileShardSink {
 }  // namespace
 
 std::unique_ptr<ShardSink> SingleByteAccumulator::MakeShard() {
-  return std::make_unique<SingleByteShardSink>(positions_);
+  return std::make_unique<SingleByteShardSink>(grid_.positions());
 }
 
 void SingleByteAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
-  grid_.MergeCounts32(static_cast<SingleByteShardSink&>(shard).cells(), keys);
+  static_cast<TileShardSink&>(shard).FlushInto(grid_, keys, "SingleByteAccumulator");
 }
 
 std::unique_ptr<ShardSink> ConsecutiveAccumulator::MakeShard() {
-  return std::make_unique<ConsecutiveShardSink>(positions_);
+  return std::make_unique<ConsecutiveShardSink>(grid_.positions());
 }
 
 void ConsecutiveAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
-  grid_.MergeCounts32(static_cast<ConsecutiveShardSink&>(shard).cells(), keys);
+  static_cast<TileShardSink&>(shard).FlushInto(grid_, keys, "ConsecutiveAccumulator");
 }
 
-PairAccumulator::PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs)
-    : pairs_(std::move(pairs)), max_position_(0), grid_(pairs_.size()) {
+PairAccumulator::PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs,
+                                 DigraphGrid grid)
+    : pairs_(std::move(pairs)), max_position_(0), grid_(std::move(grid)) {
+  assert(grid_.positions() == pairs_.size());
   for (const auto& [a, b] : pairs_) {
     assert(a >= 1 && a < b);
     max_position_ = std::max<size_t>(max_position_, b);
@@ -151,7 +134,7 @@ std::unique_ptr<ShardSink> PairAccumulator::MakeShard() {
 }
 
 void PairAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
-  grid_.MergeCounts32(static_cast<PairShardSink&>(shard).cells(), keys);
+  static_cast<TileShardSink&>(shard).FlushInto(grid_, keys, "PairAccumulator");
 }
 
 // ------------------------------------------------------------------------
@@ -234,7 +217,7 @@ std::unique_ptr<StreamShardSink> LongTermDigraphAccumulator::MakeShard() {
 void LongTermDigraphAccumulator::MergeShard(StreamShardSink& shard, uint64_t keys,
                                             uint64_t owned_per_key) {
   grid_.MergeCounts32(static_cast<LongTermDigraphShardSink&>(shard).cells(),
-                      keys * (owned_per_key / 256));
+                      keys * (owned_per_key / 256), "LongTermDigraphAccumulator");
 }
 
 std::unique_ptr<StreamShardSink> AbsabAccumulator::MakeShard() {

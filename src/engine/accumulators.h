@@ -8,9 +8,9 @@
 //   ConsecutiveAccumulator  (Fig. 4/5)     AbsabAccumulator    (formula (1))
 //   PairAccumulator         (Table 2)      AlignedPairAccumulator (form. (8))
 //
-// Shard sinks keep 16-bit worker tiles (short-term) or 32/64-bit shard-local
-// blocks (long-term) in cache-aligned storage; merges into the final grid
-// happen exactly once per shard.
+// Short-term shard sinks keep one cache-aligned 16-bit tile, which
+// MergeShard() flushes straight into the 64-bit grid (see kMaxKeysPerMerge);
+// long-term sinks keep 32/64-bit shard-local blocks merged once per shard.
 #ifndef SRC_ENGINE_ACCUMULATORS_H_
 #define SRC_ENGINE_ACCUMULATORS_H_
 
@@ -27,10 +27,11 @@ namespace rc4b {
 // Counts of Z_r for 1 <= r <= positions (one count per key per position).
 class SingleByteAccumulator : public BiasAccumulator {
  public:
-  explicit SingleByteAccumulator(size_t positions)
-      : positions_(positions), grid_(positions) {}
+  explicit SingleByteAccumulator(size_t positions) : grid_(positions) {}
+  // Counts on top of `grid` (e.g. a resumed checkpoint's cells).
+  explicit SingleByteAccumulator(SingleByteGrid grid) : grid_(std::move(grid)) {}
 
-  size_t KeystreamLength() const override { return positions_; }
+  size_t KeystreamLength() const override { return grid_.positions(); }
   std::unique_ptr<ShardSink> MakeShard() override;
   void MergeShard(ShardSink& shard, uint64_t keys) override;
 
@@ -38,17 +39,17 @@ class SingleByteAccumulator : public BiasAccumulator {
   SingleByteGrid TakeGrid() { return std::move(grid_); }
 
  private:
-  size_t positions_;
   SingleByteGrid grid_;
 };
 
 // Counts of consecutive digraphs (Z_r, Z_{r+1}) for 1 <= r <= positions.
 class ConsecutiveAccumulator : public BiasAccumulator {
  public:
-  explicit ConsecutiveAccumulator(size_t positions)
-      : positions_(positions), grid_(positions) {}
+  explicit ConsecutiveAccumulator(size_t positions) : grid_(positions) {}
+  // Counts on top of `grid` (e.g. a resumed checkpoint's cells).
+  explicit ConsecutiveAccumulator(DigraphGrid grid) : grid_(std::move(grid)) {}
 
-  size_t KeystreamLength() const override { return positions_ + 1; }
+  size_t KeystreamLength() const override { return grid_.positions() + 1; }
   std::unique_ptr<ShardSink> MakeShard() override;
   void MergeShard(ShardSink& shard, uint64_t keys) override;
 
@@ -56,7 +57,6 @@ class ConsecutiveAccumulator : public BiasAccumulator {
   DigraphGrid TakeGrid() { return std::move(grid_); }
 
  private:
-  size_t positions_;
   DigraphGrid grid_;
 };
 
@@ -64,7 +64,11 @@ class ConsecutiveAccumulator : public BiasAccumulator {
 // corresponds to pairs[p].
 class PairAccumulator : public BiasAccumulator {
  public:
-  explicit PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs);
+  explicit PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs)
+      : PairAccumulator(pairs, DigraphGrid(pairs.size())) {}
+  // Counts on top of `grid`, one row per pair.
+  PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs,
+                  DigraphGrid grid);
 
   size_t KeystreamLength() const override { return max_position_; }
   std::unique_ptr<ShardSink> MakeShard() override;
@@ -85,6 +89,8 @@ class PairAccumulator : public BiasAccumulator {
 class LongTermDigraphAccumulator : public StreamAccumulator {
  public:
   LongTermDigraphAccumulator() : grid_(256) {}
+  // Counts on top of `grid` (256 rows).
+  explicit LongTermDigraphAccumulator(DigraphGrid grid) : grid_(std::move(grid)) {}
 
   size_t Lookahead() const override { return 1; }
   std::unique_ptr<StreamShardSink> MakeShard() override;

@@ -196,9 +196,12 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
     assert(choice.width == 1 || kernel != nullptr);  // resolution guarantees it
     std::vector<uint8_t> keybuf(choice.width * kKeySize);
     AlignedVector<uint8_t> buffer(batch_keys * length, 0);
+    uint64_t unmerged = 0;  // keys consumed since the last MergeShard()
     for (uint64_t k = begin; k < end;) {
-      const size_t rows =
-          static_cast<size_t>(std::min<uint64_t>(batch_keys, end - k));
+      // A batch never straddles a merge point, so no merge covers more than
+      // kMaxKeysPerMerge keys; counts do not depend on batch boundaries.
+      const size_t rows = static_cast<size_t>(
+          std::min({uint64_t{batch_keys}, end - k, kMaxKeysPerMerge - unmerged}));
       if (kernel != nullptr) {
         FillRowsWithKernel(*kernel, keygen, options.drop, buffer.data(), rows,
                            length, keybuf.data());
@@ -207,9 +210,13 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
       }
       sink->Consume(KeystreamBatch{buffer.data(), rows, length});
       k += rows;
+      unmerged += rows;
+      if (unmerged == kMaxKeysPerMerge || k == end) {
+        std::lock_guard<std::mutex> lock(merge_mutex);
+        accumulator.MergeShard(*sink, unmerged);
+        unmerged = 0;
+      }
     }
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    accumulator.MergeShard(*sink, end - begin);
   });
 }
 

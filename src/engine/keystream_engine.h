@@ -14,7 +14,8 @@
 //   * each shard generates keystreams in batches (cache-friendly contiguous
 //     rows) and feeds them to a shard-private sink: no locks, no sharing,
 //     counters cache-line aligned;
-//   * finished shards are merged exactly once, serialized by the engine.
+//   * sinks merge into the accumulator serialized, short-term ones at least
+//     once every kMaxKeysPerMerge keys, long-term ones when they retire.
 //
 // Two generation modes cover the paper's datasets:
 //   * RunKeystreamEngine — per-key initial keystreams of a fixed length
@@ -54,11 +55,18 @@ class ShardSink {
   virtual void Consume(const KeystreamBatch& batch) = 0;
 };
 
+// The most keys a shard sink consumes between two MergeShard() calls. Sinks
+// count in 16-bit cells (WorkerTile) that every merge empties. The largest
+// short-term cell probability is ~2 * 2^-8 (the Mantin–Shamir Z2 = 0 bias),
+// so a cell expects ~2^12 counts per merge, far below 2^16; each merge
+// checks that no cell wrapped.
+inline constexpr uint64_t kMaxKeysPerMerge = uint64_t{1} << 19;
+
 // A statistics accumulator fed by the engine. Implementations own the final
 // merged statistic (typically a SingleByteGrid / DigraphGrid) and hand out
-// shard sinks whose counters they fold back in MergeShard() — which the
-// engine calls exactly once per shard, serialized, after the shard's last
-// Consume().
+// shard sinks whose counters they fold back, and empty, in MergeShard(). The
+// engine calls it serialized, at least once every kMaxKeysPerMerge keys of a
+// shard and once after the shard's last Consume().
 class BiasAccumulator {
  public:
   virtual ~BiasAccumulator() = default;
@@ -68,7 +76,8 @@ class BiasAccumulator {
 
   virtual std::unique_ptr<ShardSink> MakeShard() = 0;
 
-  // `keys` is the number of keystreams the shard consumed.
+  // `keys` is the number of keystreams the shard consumed since its last
+  // merge, at most kMaxKeysPerMerge.
   virtual void MergeShard(ShardSink& shard, uint64_t keys) = 0;
 };
 

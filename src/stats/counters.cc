@@ -1,65 +1,47 @@
 #include "src/stats/counters.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <type_traits>
 
 namespace rc4b {
 
-void SingleByteGrid::Merge(const SingleByteGrid& other) {
-  assert(positions_ == other.positions_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
+namespace {
+
+// Adds `from` into `out` cell by cell, zeroing `from` unless it is const,
+// and checks in the same pass that every row of `row_cells` cells in `from`
+// sums to `row_sum` (see WorkerTile::FlushInto).
+template <typename Count>
+void AddRowsChecked(std::span<Count> from, std::span<uint64_t> out,
+                    size_t row_cells, uint64_t row_sum, const char* owner) {
+  assert(from.size() == out.size() && from.size() % row_cells == 0);
+  for (size_t base = 0; base < from.size(); base += row_cells) {
+    uint64_t sum = 0;
+    for (size_t i = base; i < base + row_cells; ++i) {
+      sum += from[i];
+      out[i] += from[i];
+      if constexpr (!std::is_const_v<Count>) {
+        from[i] = 0;
+      }
+    }
+    if (sum != row_sum) {
+      std::fprintf(stderr,
+                   "%s: counter row %zu sums to %llu, expected %llu "
+                   "(a counter wrapped)\n",
+                   owner, base / row_cells, static_cast<unsigned long long>(sum),
+                   static_cast<unsigned long long>(row_sum));
+      std::abort();
+    }
   }
-  keys_ += other.keys_;
 }
 
-void SingleByteGrid::MergeCells(std::span<const uint64_t> cells, uint64_t keys) {
-  assert(cells.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += cells[i];
-  }
-  keys_ += keys;
-}
+}  // namespace
 
-void SingleByteGrid::MergeCounts32(std::span<const uint32_t> local, uint64_t keys) {
-  assert(local.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += local[i];
-  }
-  keys_ += keys;
-}
-
-bool operator==(const SingleByteGrid& a, const SingleByteGrid& b) {
-  return a.positions_ == b.positions_ && a.keys_ == b.keys_ &&
-         a.counts_ == b.counts_;
-}
-
-void DigraphGrid::Merge(const DigraphGrid& other) {
-  assert(positions_ == other.positions_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  keys_ += other.keys_;
-}
-
-void DigraphGrid::MergeCells(std::span<const uint64_t> cells, uint64_t keys) {
-  assert(cells.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += cells[i];
-  }
-  keys_ += keys;
-}
-
-void DigraphGrid::MergeCounts32(std::span<const uint32_t> local, uint64_t keys) {
-  assert(local.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += local[i];
-  }
-  keys_ += keys;
-}
-
-bool operator==(const DigraphGrid& a, const DigraphGrid& b) {
-  return a.positions_ == b.positions_ && a.keys_ == b.keys_ &&
-         a.counts_ == b.counts_;
+void DigraphGrid::MergeCounts32(std::span<const uint32_t> local, uint64_t samples,
+                                const char* owner) {
+  AddRowsChecked(local, std::span<uint64_t>(counts_), 65536, samples, owner);
+  keys_ += samples;
 }
 
 double DigraphGrid::MarginalFirst(size_t pos, uint8_t v) const {
@@ -81,20 +63,9 @@ double DigraphGrid::MarginalSecond(size_t pos, uint8_t v) const {
   return static_cast<double>(sum) / static_cast<double>(keys_);
 }
 
-void WorkerTile::FlushInto(std::span<uint64_t> out) {
-  assert(out.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    out[i] += counts_[i];
-    counts_[i] = 0;
-  }
-}
-
-void WorkerTile::FlushInto(std::span<uint32_t> out) {
-  assert(out.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    out[i] += counts_[i];
-    counts_[i] = 0;
-  }
+void WorkerTile::FlushInto(std::span<uint64_t> out, size_t row_cells,
+                           uint64_t keys, const char* owner) {
+  AddRowsChecked(std::span<uint16_t>(counts_), out, row_cells, keys, owner);
 }
 
 }  // namespace rc4b

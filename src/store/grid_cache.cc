@@ -136,14 +136,12 @@ StoredGrid GridCache::LoadOrGenerate(const GridMeta& want, unsigned workers) {
 SingleByteGrid GridCache::LoadOrGenerateSingleByte(size_t positions,
                                                    DatasetOptions options) {
   const GridMeta want = MetaForSingleByte(positions, options);
-  options.cache_dir.clear();  // the generate path must not re-enter the cache
   return ToSingleByteGrid(LoadOrGenerate(want, options.workers));
 }
 
 DigraphGrid GridCache::LoadOrGenerateConsecutive(size_t positions,
                                                  DatasetOptions options) {
   const GridMeta want = MetaForConsecutive(positions, options);
-  options.cache_dir.clear();
   return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 
@@ -151,13 +149,11 @@ DigraphGrid GridCache::LoadOrGeneratePair(
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
     DatasetOptions options) {
   const GridMeta want = MetaForPair(pairs, options);
-  options.cache_dir.clear();
   return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 
 DigraphGrid GridCache::LoadOrGenerateLongTermDigraph(LongTermOptions options) {
   const GridMeta want = MetaForLongTermDigraph(options);
-  options.cache_dir.clear();
   return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 

@@ -339,16 +339,12 @@ IoStatus GridFileView::Open(const std::string& path) {
   return ParseGridImage(map_.bytes(), path, &meta_, &cells_);
 }
 
-SingleByteGrid ToSingleByteGrid(const StoredGrid& stored) {
-  SingleByteGrid grid(stored.meta.rows);
-  grid.MergeCells(stored.cells, stored.meta.samples);
-  return grid;
+SingleByteGrid ToSingleByteGrid(StoredGrid stored) {
+  return SingleByteGrid(std::move(stored.cells), stored.meta.samples);
 }
 
-DigraphGrid ToDigraphGrid(const StoredGrid& stored) {
-  DigraphGrid grid(stored.meta.rows);
-  grid.MergeCells(stored.cells, stored.meta.samples);
-  return grid;
+DigraphGrid ToDigraphGrid(StoredGrid stored) {
+  return DigraphGrid(std::move(stored.cells), stored.meta.samples);
 }
 
 }  // namespace rc4b::store

@@ -125,11 +125,11 @@ class GridFileView {
   std::span<const uint64_t> cells_;
 };
 
-// Rebuild in-memory grids from a stored one. The caller must have checked
-// the kind: ToSingleByteGrid requires kSingleByte, ToDigraphGrid one of the
-// digraph kinds.
-SingleByteGrid ToSingleByteGrid(const StoredGrid& stored);
-DigraphGrid ToDigraphGrid(const StoredGrid& stored);
+// Rebuild in-memory grids from a stored one, moving its cells in. The caller
+// must have checked the kind: ToSingleByteGrid requires kSingleByte,
+// ToDigraphGrid one of the digraph kinds.
+SingleByteGrid ToSingleByteGrid(StoredGrid stored);
+DigraphGrid ToDigraphGrid(StoredGrid stored);
 
 }  // namespace rc4b::store
 

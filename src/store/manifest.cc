@@ -259,6 +259,12 @@ std::string ResolveManifestPath(const std::string& manifest_path,
   return manifest_path.substr(0, slash + 1) + shard_path;
 }
 
+std::string DefaultShardPrefix(const std::string& manifest_path) {
+  const std::string name = manifest_path.substr(manifest_path.find_last_of('/') + 1);
+  const size_t dot = name.rfind('.');
+  return dot != std::string::npos && dot > 0 ? name.substr(0, dot) : name;
+}
+
 std::string CheckpointPath(const std::string& shard_path) {
   return shard_path + ".ckpt";
 }

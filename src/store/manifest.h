@@ -84,6 +84,11 @@ IoStatus ParsePairs(std::string_view text, const std::string& context,
 std::string ResolveManifestPath(const std::string& manifest_path,
                                 const std::string& shard_path);
 
+// The default shard-file prefix for a manifest: its file name minus the
+// extension ("runs/consec.manifest" -> "consec"). Shard paths are relative
+// to the manifest, so the prefix never repeats the manifest's directory.
+std::string DefaultShardPrefix(const std::string& manifest_path);
+
 // Where a shard checkpoints partial progress (shard output path + ".ckpt").
 std::string CheckpointPath(const std::string& shard_path);
 

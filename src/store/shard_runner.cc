@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 #include <sys/stat.h>
 
-#include "src/biases/dataset.h"
 #include "src/common/fault_injector.h"
+#include "src/engine/accumulators.h"
+#include "src/engine/keystream_engine.h"
 #include "src/rc4/kernel_registry.h"
 
 namespace rc4b::store {
@@ -18,15 +20,48 @@ bool PathExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-DatasetOptions ToDatasetOptions(const GridMeta& meta, unsigned workers,
-                                size_t interleave) {
-  DatasetOptions options;
-  options.keys = meta.keys();
-  options.first_key = meta.key_begin;
-  options.seed = meta.seed;
-  options.workers = workers;
-  options.interleave = interleave;
-  return options;
+// Adds keys [begin, end) of `grid->meta`'s dataset into `grid` in place:
+// its cells move into the engine accumulator for the kind and back out, and
+// both engines add into that accumulator's grid, so nothing is copied.
+void GenerateInto(StoredGrid* grid, uint64_t begin, uint64_t end,
+                  unsigned workers, size_t interleave) {
+  const GridMeta& meta = grid->meta;
+  const auto run = [&](auto accumulator) {
+    const auto range = [&](auto options) {
+      options.keys = end - begin;
+      options.first_key = begin;
+      options.seed = meta.seed;
+      options.workers = workers;
+      options.interleave = interleave;
+      return options;
+    };
+    if constexpr (std::is_same_v<decltype(accumulator), LongTermDigraphAccumulator>) {
+      LongTermEngineOptions options = range(LongTermEngineOptions{});
+      options.bytes_per_key = meta.bytes_per_key;
+      options.drop = meta.drop;
+      RunLongTermEngine(options, accumulator);
+    } else {
+      RunKeystreamEngine(range(EngineOptions{}), accumulator);
+    }
+    grid->meta.samples = accumulator.grid().keys();
+    grid->cells = accumulator.TakeGrid().TakeCells();
+  };
+  AlignedVector<uint64_t>& cells = grid->cells;
+  switch (meta.kind) {
+    case GridKind::kSingleByte:
+      run(SingleByteAccumulator(SingleByteGrid(std::move(cells), meta.samples)));
+      break;
+    case GridKind::kConsecutive:
+      run(ConsecutiveAccumulator(DigraphGrid(std::move(cells), meta.samples)));
+      break;
+    case GridKind::kPair:
+      run(PairAccumulator(meta.pairs, DigraphGrid(std::move(cells), meta.samples)));
+      break;
+    case GridKind::kLongTermDigraph:
+      run(LongTermDigraphAccumulator(DigraphGrid(std::move(cells), meta.samples)));
+      break;
+  }
+  grid->meta.interleave = ResolveKernelChoice("", interleave).width;
 }
 
 }  // namespace
@@ -35,44 +70,9 @@ StoredGrid GenerateStoredGrid(const GridMeta& meta, unsigned workers,
                               size_t interleave) {
   StoredGrid out;
   out.meta = meta;
-  out.meta.interleave = ResolveKernelChoice("", interleave).width;
-  switch (meta.kind) {
-    case GridKind::kSingleByte: {
-      const SingleByteGrid grid = GenerateSingleByteDataset(
-          meta.rows, ToDatasetOptions(meta, workers, interleave));
-      out.cells.assign(grid.Cells().begin(), grid.Cells().end());
-      out.meta.samples = grid.keys();
-      break;
-    }
-    case GridKind::kConsecutive: {
-      const DigraphGrid grid = GenerateConsecutiveDataset(
-          meta.rows, ToDatasetOptions(meta, workers, interleave));
-      out.cells.assign(grid.Cells().begin(), grid.Cells().end());
-      out.meta.samples = grid.keys();
-      break;
-    }
-    case GridKind::kPair: {
-      const DigraphGrid grid = GeneratePairDataset(
-          meta.pairs, ToDatasetOptions(meta, workers, interleave));
-      out.cells.assign(grid.Cells().begin(), grid.Cells().end());
-      out.meta.samples = grid.keys();
-      break;
-    }
-    case GridKind::kLongTermDigraph: {
-      LongTermOptions options;
-      options.keys = meta.keys();
-      options.first_key = meta.key_begin;
-      options.bytes_per_key = meta.bytes_per_key;
-      options.drop = meta.drop;
-      options.seed = meta.seed;
-      options.workers = workers;
-      options.interleave = interleave;
-      const DigraphGrid grid = GenerateLongTermDigraphDataset(options);
-      out.cells.assign(grid.Cells().begin(), grid.Cells().end());
-      out.meta.samples = grid.keys();
-      break;
-    }
-  }
+  out.meta.samples = 0;
+  out.cells.assign(meta.cell_count(), 0);
+  GenerateInto(&out, meta.key_begin, meta.key_end, workers, interleave);
   return out;
 }
 
@@ -129,7 +129,6 @@ IoStatus RunShard(const Manifest& manifest, const std::string& manifest_path,
 
   StoredGrid partial;
   partial.meta = shard_meta;
-  partial.cells.assign(shard_meta.cell_count(), 0);
   uint64_t progress = shard.key_begin;
 
   if (PathExists(ckpt_path)) {
@@ -155,24 +154,18 @@ IoStatus RunShard(const Manifest& manifest, const std::string& manifest_path,
     partial.cells = std::move(checkpoint.cells);
     partial.meta.samples = checkpoint.meta.samples;
     result->resumed = true;
+  } else {
+    partial.cells.assign(shard_meta.cell_count(), 0);
   }
 
   const uint64_t step = options.checkpoint_keys == 0
                             ? shard.key_end - shard.key_begin
                             : options.checkpoint_keys;
   while (progress < shard.key_end) {
-    GridMeta step_meta = shard_meta;
-    step_meta.key_begin = progress;
-    step_meta.key_end = std::min(progress + step, shard.key_end);
-    const StoredGrid piece =
-        GenerateStoredGrid(step_meta, options.workers, 0);
-    for (size_t i = 0; i < partial.cells.size(); ++i) {
-      partial.cells[i] += piece.cells[i];
-    }
-    partial.meta.samples += piece.meta.samples;
-    partial.meta.interleave = piece.meta.interleave;
-    progress = step_meta.key_end;
-    result->keys_done += step_meta.keys();
+    const uint64_t step_end = std::min(progress + step, shard.key_end);
+    GenerateInto(&partial, progress, step_end, options.workers, 0);
+    result->keys_done += step_end - progress;
+    progress = step_end;
     result->keys_completed = progress - shard.key_begin;
     if (progress >= shard.key_end) {
       break;

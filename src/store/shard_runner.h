@@ -1,9 +1,9 @@
 // Checkpointed execution of one manifest shard (docs/store.md).
 //
-// A shard process generates its key sub-range in checkpoint_keys-sized
-// steps; after each step it atomically snapshots the accumulated counters
-// plus the next key index to "<shard>.ckpt" (grid-file format with the
-// partial key range as provenance). A killed shard therefore resumes from
+// A shard process adds its key sub-range, in checkpoint_keys-sized steps,
+// into one 64-bit grid in place; after each step it atomically snapshots
+// that grid plus the next key index to "<shard>.ckpt" (grid-file format
+// with the partial key range as provenance). A killed shard resumes from
 // its last snapshot without recomputing finished keys, and because every
 // step covers an explicit global key slice, the final shard grid is
 // bit-identical whether the shard ran straight through, was killed and
@@ -20,11 +20,11 @@
 
 namespace rc4b::store {
 
-// Generates the grid described by `meta` in-process over its full key range
-// — the single dispatch point over the four dataset families that the shard
-// runner, the cache, and the reference-grid tool share. `interleave` is 0
-// for the lane kernel or 1 for the scalar reference path (see
-// EngineOptions::interleave); the cells are identical either way.
+// Generates the grid described by `meta` in-process over its full key range,
+// through the same per-kind dispatch as the shard runner (used by the cache
+// and the reference-grid tool). `interleave` is 0 for the lane kernel or 1
+// for the scalar reference path (see EngineOptions::interleave); the cells
+// are identical either way.
 StoredGrid GenerateStoredGrid(const GridMeta& meta, unsigned workers,
                               size_t interleave);
 

@@ -65,18 +65,49 @@ TEST(DigraphGridTest, MergeConsistent) {
   EXPECT_EQ(a.keys(), 7u);
 }
 
+TEST(DigraphGridTest, AdoptedCellsMoveBackOut) {
+  AlignedVector<uint64_t> cells(2 * 65536, 0);
+  cells[65536 + 5] = 9;
+  const uint64_t* block = cells.data();
+  DigraphGrid grid(std::move(cells), 9);
+  EXPECT_EQ(grid.positions(), 2u);
+  EXPECT_EQ(grid.Count(1, 0, 5), 9u);
+  EXPECT_EQ(grid.keys(), 9u);
+  const AlignedVector<uint64_t> out = std::move(grid).TakeCells();
+  EXPECT_EQ(out.data(), block);  // moved, never copied
+}
+
+TEST(DigraphGridTest, MergeCounts32AddsSamplesPerRow) {
+  DigraphGrid grid(1);
+  std::vector<uint32_t> local(65536, 0);
+  local[7] = 3;
+  local[9] = 1;
+  grid.MergeCounts32(local, 4, "test");
+  EXPECT_EQ(grid.Count(0, 0, 7), 3u);
+  EXPECT_EQ(grid.keys(), 4u);
+}
+
+TEST(DigraphGridDeathTest, MergeCounts32AbortsOnShortRow) {
+  DigraphGrid grid(2);
+  std::vector<uint32_t> local(2 * 65536, 0);
+  local[0] = 4;
+  local[65536] = 3;  // row 1 lost a count
+  EXPECT_DEATH(grid.MergeCounts32(local, 4, "LongTermTest"),
+               "LongTermTest: counter row 1 sums to 3, expected 4");
+}
+
 TEST(WorkerTileTest, FlushAddsAndZeroes) {
   WorkerTile tile(8);
   tile.Add(3);
   tile.Add(3);
   tile.Add(5);
   std::vector<uint64_t> out(8, 100);
-  tile.FlushInto(out);
+  tile.FlushInto(out, 8, 3, "test");
   EXPECT_EQ(out[3], 102u);
   EXPECT_EQ(out[5], 101u);
   EXPECT_EQ(out[0], 100u);
   // Second flush adds nothing: the tile was reset.
-  tile.FlushInto(out);
+  tile.FlushInto(out, 8, 0, "test");
   EXPECT_EQ(out[3], 102u);
 }
 
@@ -86,8 +117,18 @@ TEST(WorkerTileTest, ManyIncrementsBelowCap) {
     tile.Add(0);
   }
   std::vector<uint64_t> out(1, 0);
-  tile.FlushInto(out);
+  tile.FlushInto(out, 1, 60000, "test");
   EXPECT_EQ(out[0], 60000u);
+}
+
+TEST(WorkerTileDeathTest, WrappedCellAbortsFlush) {
+  WorkerTile tile(4);
+  for (int i = 0; i < 65536; ++i) {
+    tile.Add(2);  // the 65536th add wraps the 16-bit cell to 0
+  }
+  std::vector<uint64_t> out(4, 0);
+  EXPECT_DEATH(tile.FlushInto(out, 4, 65536, "TileTest"),
+               "TileTest: counter row 0 sums to 0, expected 65536");
 }
 
 }  // namespace

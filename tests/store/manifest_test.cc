@@ -152,6 +152,19 @@ TEST(ManifestTest, ResolvesShardPathsAgainstManifestDirectory) {
             "/abs/s0.grid");
 }
 
+TEST(ManifestTest, DefaultShardPrefixIsTheManifestFileStem) {
+  EXPECT_EQ(DefaultShardPrefix("c.manifest"), "c");
+  EXPECT_EQ(DefaultShardPrefix("sub/x.manifest"), "x");
+  EXPECT_EQ(DefaultShardPrefix("/data/run.d/consec.v2.manifest"), "consec.v2");
+  EXPECT_EQ(DefaultShardPrefix("run.d/grid"), "grid");
+  EXPECT_EQ(DefaultShardPrefix("runs/.manifest"), ".manifest");
+  // The shards it names resolve next to the manifest, not one level deeper.
+  const Manifest manifest =
+      PlanShards(PairMeta(), 2, DefaultShardPrefix("sub/x.manifest"));
+  EXPECT_EQ(ResolveManifestPath("sub/x.manifest", manifest.shards[1].path),
+            "sub/x-shard1.grid");
+}
+
 TEST(ManifestTest, CheckpointPathAppendsSuffix) {
   EXPECT_EQ(CheckpointPath("a/b.grid"), "a/b.grid.ckpt");
 }

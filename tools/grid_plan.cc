@@ -42,22 +42,19 @@ int Run(int argc, char** argv) {
               "to the manifest at --out (finished shard files and previous "
               "merges stay valid; see grid_merge --incremental-from)")
       .Define("prefix", "",
-              "shard file prefix (default: --out minus its extension)");
+              "shard file prefix, relative to the manifest's directory "
+              "(default: the --out file name minus its extension)");
   if (!flags.Parse(argc, argv)) {
     return 0;
   }
 
+  const std::string out = flags.GetString("out");
+  std::string prefix = flags.GetString("prefix");
+  if (prefix.empty()) {
+    prefix = store::DefaultShardPrefix(out);
+  }
+
   if (flags.GetBool("extend")) {
-    const std::string out = flags.GetString("out");
-    std::string prefix = flags.GetString("prefix");
-    if (prefix.empty()) {
-      const size_t dot = out.rfind('.');
-      const size_t slash = out.rfind('/');
-      prefix = (dot != std::string::npos &&
-                (slash == std::string::npos || dot > slash))
-                   ? out.substr(0, dot)
-                   : out;
-    }
     store::Manifest manifest;
     if (IoStatus status = store::ReadManifest(out, &manifest); !status.ok()) {
       std::fprintf(stderr, "grid_plan: %s\n", status.message().c_str());
@@ -115,17 +112,6 @@ int Run(int argc, char** argv) {
       grid.drop = flags.GetUint("drop");
       grid.bytes_per_key = flags.GetUint("bytes-per-key");
       break;
-  }
-
-  const std::string out = flags.GetString("out");
-  std::string prefix = flags.GetString("prefix");
-  if (prefix.empty()) {
-    const size_t dot = out.rfind('.');
-    const size_t slash = out.rfind('/');
-    prefix = (dot != std::string::npos &&
-              (slash == std::string::npos || dot > slash))
-                 ? out.substr(0, dot)
-                 : out;
   }
 
   const store::Manifest manifest = store::PlanShards(
