@@ -5,13 +5,16 @@
 #include "src/engine/accumulators.h"
 #include "src/engine/keystream_engine.h"
 #include "src/store/grid_cache.h"
+#include "src/store/shard_runner.h"
 
 namespace rc4b {
 
 // All generators are thin drivers over the sharded keystream engine
-// (src/engine/): they pick an accumulator, forward the scale knobs, and
-// return the merged grid. The engine guarantees the result is bit-identical
-// for any worker count (keys are indexed globally in one AES-CTR stream).
+// (src/engine/). The four grid generators describe their grid as a
+// store::GridMeta and run it through store::GenerateStoredGrid, which owns
+// the kind -> accumulator map; the others pick an accumulator themselves.
+// The engine guarantees the result is bit-identical for any worker count
+// (keys are indexed globally in one AES-CTR stream).
 //
 // When cache_dir is set (and the request starts at key 0), the grid
 // generators route through store::GridCache instead: load the stored grid if
@@ -21,18 +24,19 @@ namespace rc4b {
 
 namespace {
 
-bool UseCache(const DatasetOptions& options) {
+template <typename Options>
+bool UseCache(const Options& options) {
   return !options.cache_dir.empty() && options.first_key == 0;
 }
 
-EngineOptions ToEngineOptions(const DatasetOptions& options) {
-  EngineOptions engine;
-  engine.keys = options.keys;
-  engine.workers = options.workers;
-  engine.seed = options.seed;
-  engine.interleave = options.interleave;
-  engine.first_key = options.first_key;
-  return engine;
+// Generates the grid `meta` describes: through the cache when it applies,
+// otherwise in-process at the requested interleave.
+template <typename Options>
+store::StoredGrid Generate(const store::GridMeta& meta, const Options& options) {
+  if (UseCache(options)) {
+    return store::GridCache(options.cache_dir).LoadOrGenerate(meta, options.workers);
+  }
+  return store::GenerateStoredGrid(meta, options.workers, options.interleave);
 }
 
 LongTermEngineOptions ToLongTermOptions(const LongTermOptions& options) {
@@ -53,43 +57,24 @@ LongTermEngineOptions ToLongTermOptions(const LongTermOptions& options) {
 
 SingleByteGrid GenerateSingleByteDataset(size_t positions,
                                          const DatasetOptions& options) {
-  if (UseCache(options)) {
-    return store::GridCache(options.cache_dir)
-        .LoadOrGenerateSingleByte(positions, options);
-  }
-  SingleByteAccumulator accumulator(positions);
-  RunKeystreamEngine(ToEngineOptions(options), accumulator);
-  return accumulator.TakeGrid();
+  return store::ToSingleByteGrid(
+      Generate(store::MetaForSingleByte(positions, options), options));
 }
 
 DigraphGrid GenerateConsecutiveDataset(size_t positions, const DatasetOptions& options) {
-  if (UseCache(options)) {
-    return store::GridCache(options.cache_dir)
-        .LoadOrGenerateConsecutive(positions, options);
-  }
-  ConsecutiveAccumulator accumulator(positions);
-  RunKeystreamEngine(ToEngineOptions(options), accumulator);
-  return accumulator.TakeGrid();
+  return store::ToDigraphGrid(
+      Generate(store::MetaForConsecutive(positions, options), options));
 }
 
 DigraphGrid GeneratePairDataset(const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
                                 const DatasetOptions& options) {
-  if (UseCache(options)) {
-    return store::GridCache(options.cache_dir).LoadOrGeneratePair(pairs, options);
-  }
-  PairAccumulator accumulator(pairs);
-  RunKeystreamEngine(ToEngineOptions(options), accumulator);
-  return accumulator.TakeGrid();
+  return store::ToDigraphGrid(Generate(store::MetaForPair(pairs, options), options));
 }
 
 DigraphGrid GenerateLongTermDigraphDataset(const LongTermOptions& options) {
   assert(options.drop % 256 == 0);
-  if (!options.cache_dir.empty() && options.first_key == 0) {
-    return store::GridCache(options.cache_dir).LoadOrGenerateLongTermDigraph(options);
-  }
-  LongTermDigraphAccumulator accumulator;
-  RunLongTermEngine(ToLongTermOptions(options), accumulator);
-  return accumulator.TakeGrid();
+  return store::ToDigraphGrid(
+      Generate(store::MetaForLongTermDigraph(options), options));
 }
 
 AbsabCounts GenerateAbsabDataset(uint64_t max_gap, const LongTermOptions& options) {

@@ -71,6 +71,11 @@ IoStatus WriteFileAtomic(const std::string& path, std::string_view data) {
   return writer.Commit();
 }
 
+bool PathExists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
 IoStatus MakeDirs(const std::string& path) {
   if (path.empty() || path == "/" || path == ".") {
     return IoStatus::Ok();

@@ -56,6 +56,9 @@ struct IoStatus {
 // observe a partial file. Used for manifests and leases.
 IoStatus WriteFileAtomic(const std::string& path, std::string_view data);
 
+// True if something exists at `path` (stat succeeds).
+bool PathExists(const std::string& path);
+
 // mkdir -p: creates `path` and any missing parents; existing directories are
 // not an error.
 IoStatus MakeDirs(const std::string& path);

@@ -21,60 +21,32 @@ std::string OwnerTag(pid_t pid, uint32_t attempt) {
   return std::to_string(pid) + ".a" + std::to_string(attempt);
 }
 
-// The provenance a valid final grid for shard `index` must carry.
-store::GridMeta WantedShardMeta(const store::Manifest& manifest, uint32_t index) {
-  store::GridMeta want = manifest.grid;
-  want.key_begin = manifest.shards[index].key_begin;
-  want.key_end = manifest.shards[index].key_end;
-  want.samples = 0;
-  return want;
-}
-
-// Full validation of a shard's final grid: readable, CRCs good, same
-// dataset, exact key range. This is the scheduler's defense against workers
-// that exited 0 over an artifact corrupted after commit (crc-flip).
+// Full validation of a shard's final grid: readable, CRCs good, the shard's
+// exact slice. This is the scheduler's defense against workers that exited 0
+// over an artifact corrupted after commit (crc-flip).
 IoStatus ValidateShardFinal(const store::Manifest& manifest, uint32_t index,
                             const std::string& final_path) {
-  store::StoredGrid grid;
-  if (IoStatus status = store::ReadGridFile(final_path, &grid); !status.ok()) {
-    return status;
-  }
-  const store::GridMeta want = WantedShardMeta(manifest, index);
-  if (IoStatus status = store::CheckSameDataset(want, grid.meta, final_path);
-      !status.ok()) {
-    return status;
-  }
-  if (grid.meta.key_begin != want.key_begin || grid.meta.key_end != want.key_end) {
-    return IoStatus::Fail(final_path + ": covers keys [" +
-                          std::to_string(grid.meta.key_begin) + ", " +
-                          std::to_string(grid.meta.key_end) +
-                          "), shard owns [" + std::to_string(want.key_begin) +
-                          ", " + std::to_string(want.key_end) + ")");
-  }
-  return IoStatus::Ok();
+  store::GridFileView view;
+  return view.OpenSlice(final_path, store::ShardMeta(manifest, index),
+                        store::Coverage::kExact);
 }
 
 // Keys completed per on-disk provenance: the final grid if valid, else a
 // valid checkpoint's covered prefix, else zero.
 uint64_t ShardProgressKeys(const store::Manifest& manifest, uint32_t index,
                            const std::string& final_path) {
-  const store::ShardEntry& shard = manifest.shards[index];
-  if (ValidateShardFinal(manifest, index, final_path).ok()) {
-    return shard.key_end - shard.key_begin;
+  const store::GridMeta want = store::ShardMeta(manifest, index);
+  store::GridFileView view;
+  if (view.OpenSlice(final_path, want, store::Coverage::kExact).ok()) {
+    return want.keys();
   }
-  store::StoredGrid ckpt;
-  if (!store::ReadGridFile(store::CheckpointPath(final_path), &ckpt).ok()) {
-    return 0;
+  if (view.OpenSlice(store::CheckpointPath(final_path), want,
+                     store::Coverage::kPrefix)
+          .ok()) {
+    return view.meta().key_end - want.key_begin;
   }
-  const store::GridMeta want = WantedShardMeta(manifest, index);
-  if (!store::CheckSameDataset(want, ckpt.meta, final_path).ok() ||
-      ckpt.meta.key_begin != shard.key_begin || ckpt.meta.key_end > shard.key_end) {
-    return 0;
-  }
-  return ckpt.meta.key_end - shard.key_begin;
+  return 0;
 }
-
-bool PathExists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
 
 // Worker body, run in the forked child. Exit code follows the shared
 // contract: 0 done, 75 retryable (lease busy/lost, transient I/O), 1 fatal.
@@ -204,8 +176,7 @@ void CampaignScheduler::InitialScan() {
       continue;
     }
     const std::string final_path = FinalPath(i);
-    if (PathExists(final_path) &&
-        ValidateShardFinal(manifest_, i, final_path).ok()) {
+    if (ValidateShardFinal(manifest_, i, final_path).ok()) {
       slot.status.state = ShardState::kDone;
       slot.status.keys_completed = shard.key_end - shard.key_begin;
       slot.status.note = "already complete";
@@ -223,10 +194,11 @@ void CampaignScheduler::RecordProgress(uint32_t index) {
 size_t CampaignScheduler::QuarantineInvalidArtifacts(uint32_t index) {
   Slot& slot = slots_[index];
   const std::string final_path = FinalPath(index);
-  const std::string ckpt_path = store::CheckpointPath(final_path);
+  const store::GridMeta want = store::ShardMeta(manifest_, index);
   size_t moved = 0;
-  const auto set_aside = [&](const std::string& path, bool valid) {
-    if (!PathExists(path) || valid) {
+  const auto set_aside = [&](const std::string& path, store::Coverage coverage) {
+    store::GridFileView view;
+    if (!PathExists(path) || view.OpenSlice(path, want, coverage).ok()) {
       return;
     }
     const std::string dest =
@@ -239,14 +211,8 @@ size_t CampaignScheduler::QuarantineInvalidArtifacts(uint32_t index) {
       ++moved;
     }
   };
-  set_aside(final_path, ValidateShardFinal(manifest_, index, final_path).ok());
-  const store::GridMeta want = WantedShardMeta(manifest_, index);
-  store::StoredGrid ckpt;
-  const bool ckpt_valid =
-      store::ReadGridFile(ckpt_path, &ckpt).ok() &&
-      store::CheckSameDataset(want, ckpt.meta, ckpt_path).ok() &&
-      ckpt.meta.key_begin == want.key_begin && ckpt.meta.key_end <= want.key_end;
-  set_aside(ckpt_path, ckpt_valid);
+  set_aside(final_path, store::Coverage::kExact);
+  set_aside(store::CheckpointPath(final_path), store::Coverage::kPrefix);
   return moved;
 }
 

@@ -6,10 +6,11 @@
 // checkpointed ShardRunner with the lease heartbeat renewed at every
 // checkpoint, and exits with the shared exit-code contract
 // (src/common/retry.h). The parent reaps exits, validates the artifacts a
-// "successful" worker left behind (a CRC flip after commit must not
-// survive), retries failures under the RetryPolicy, kills workers whose
-// heartbeats go stale, and quarantines a shard — campaign degraded, not
-// aborted — once its attempt budget is spent.
+// "successful" worker left behind against the store's slice rule
+// (store::CheckSlice through the mmap view, no copy; a CRC flip after
+// commit must not survive), retries failures under the RetryPolicy, kills
+// workers whose heartbeats go stale, and quarantines a shard — campaign
+// degraded, not aborted — once its attempt budget is spent.
 #ifndef SRC_ORCHESTRATE_SCHEDULER_H_
 #define SRC_ORCHESTRATE_SCHEDULER_H_
 
@@ -69,7 +70,8 @@ struct CampaignReport {
 
 // Reads campaign progress from on-disk provenance without running anything:
 // per shard, the keys completed according to its final grid or checkpoint.
-// Invalid or missing artifacts count as zero progress.
+// Artifacts that are missing or fail the slice rule (a checkpoint from
+// another seed, or outside the shard's range) count as zero progress.
 std::vector<uint64_t> CampaignProgress(const store::Manifest& manifest,
                                        const std::string& manifest_path);
 
@@ -98,8 +100,9 @@ class CampaignScheduler {
   void Launch(uint32_t index, uint64_t now_ms);
   void HandleExit(uint32_t index, int wait_status, uint64_t now_ms);
   void AttemptFailed(uint32_t index, const std::string& reason, uint64_t now_ms);
-  // Moves invalid final/checkpoint artifacts to "<path>.quarantined<N>";
-  // returns how many were set aside. Valid checkpoints are kept (resume).
+  // Moves final/checkpoint artifacts that fail the slice rule to
+  // "<path>.quarantined<N>"; returns how many were set aside. Valid
+  // checkpoints are kept (resume).
   size_t QuarantineInvalidArtifacts(uint32_t index);
   void RecordProgress(uint32_t index);
   std::string FinalPath(uint32_t index) const;

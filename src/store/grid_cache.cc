@@ -2,19 +2,12 @@
 
 #include <cstdio>
 
-#include <sys/stat.h>
-
 #include "src/crypto/crc32.h"
 #include "src/store/shard_runner.h"
 
 namespace rc4b::store {
 
 namespace {
-
-bool PathExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 GridMeta BaseMeta(GridKind kind, uint64_t keys, uint64_t first_key,
                   uint64_t seed) {
@@ -91,19 +84,7 @@ IoStatus GridCache::TryLoad(const GridMeta& want, StoredGrid* out) const {
   if (IoStatus status = ReadGridFile(path, out); !status.ok()) {
     return status;
   }
-  if (IoStatus status = CheckSameDataset(want, out->meta, path); !status.ok()) {
-    return status;
-  }
-  if (out->meta.key_begin != want.key_begin ||
-      out->meta.key_end != want.key_end) {
-    return IoStatus::Fail(path + ": cached grid covers keys [" +
-                          std::to_string(out->meta.key_begin) + ", " +
-                          std::to_string(out->meta.key_end) +
-                          "), request wants [" +
-                          std::to_string(want.key_begin) + ", " +
-                          std::to_string(want.key_end) + ")");
-  }
-  return IoStatus::Ok();
+  return CheckSlice(want, out->meta, Coverage::kExact, path);
 }
 
 StoredGrid GridCache::LoadOrGenerate(const GridMeta& want, unsigned workers) {
@@ -131,30 +112,6 @@ StoredGrid GridCache::LoadOrGenerate(const GridMeta& want, unsigned workers) {
                  wrote.message().c_str());
   }
   return stored;
-}
-
-SingleByteGrid GridCache::LoadOrGenerateSingleByte(size_t positions,
-                                                   DatasetOptions options) {
-  const GridMeta want = MetaForSingleByte(positions, options);
-  return ToSingleByteGrid(LoadOrGenerate(want, options.workers));
-}
-
-DigraphGrid GridCache::LoadOrGenerateConsecutive(size_t positions,
-                                                 DatasetOptions options) {
-  const GridMeta want = MetaForConsecutive(positions, options);
-  return ToDigraphGrid(LoadOrGenerate(want, options.workers));
-}
-
-DigraphGrid GridCache::LoadOrGeneratePair(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    DatasetOptions options) {
-  const GridMeta want = MetaForPair(pairs, options);
-  return ToDigraphGrid(LoadOrGenerate(want, options.workers));
-}
-
-DigraphGrid GridCache::LoadOrGenerateLongTermDigraph(LongTermOptions options) {
-  const GridMeta want = MetaForLongTermDigraph(options);
-  return ToDigraphGrid(LoadOrGenerate(want, options.workers));
 }
 
 }  // namespace rc4b::store

@@ -7,10 +7,10 @@
 // bit-exactly instead of recomputing — including grids produced offline by
 // the grid_plan / grid_gen / grid_merge pipeline, since the file name and
 // metadata are pure functions of the generation parameters. A cache hit is
-// only accepted when the stored provenance matches the request exactly
-// (kind, seed, key range, rows, drop, pairs, bytes-per-key); checksum or
-// metadata mismatches are reported, warned about, and regenerated — never
-// used silently.
+// only accepted when the stored file holds exactly the requested slice
+// (CheckSlice: kind, seed, key range, rows, drop, pairs, bytes-per-key);
+// checksum or metadata mismatches are reported, warned about, and
+// regenerated — never used silently.
 #ifndef SRC_STORE_GRID_CACHE_H_
 #define SRC_STORE_GRID_CACHE_H_
 
@@ -45,22 +45,14 @@ class GridCache {
   // version), or stores a grid of different provenance.
   IoStatus TryLoad(const GridMeta& want, StoredGrid* out) const;
 
-  // The load-or-generate entry points used by src/biases/dataset.cc when
-  // cache_dir is set. On any TryLoad failure other than a missing file a
-  // warning with the diagnostic goes to stderr; the grid is then generated
-  // in-process (bit-identical to the cached result by construction) and
-  // stored back atomically.
-  SingleByteGrid LoadOrGenerateSingleByte(size_t positions,
-                                          DatasetOptions options);
-  DigraphGrid LoadOrGenerateConsecutive(size_t positions, DatasetOptions options);
-  DigraphGrid LoadOrGeneratePair(
-      const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-      DatasetOptions options);
-  DigraphGrid LoadOrGenerateLongTermDigraph(LongTermOptions options);
-
- private:
+  // Loads the grid `want` describes, or generates it. On any TryLoad failure
+  // other than a missing file a warning with the diagnostic goes to stderr;
+  // the grid is then generated in-process (bit-identical to the cached
+  // result by construction) and stored back atomically. The grid generators
+  // of src/biases/dataset.cc call this when cache_dir is set.
   StoredGrid LoadOrGenerate(const GridMeta& want, unsigned workers);
 
+ private:
   std::string dir_;
 };
 

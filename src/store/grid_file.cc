@@ -273,6 +273,24 @@ IoStatus CheckSameDataset(const GridMeta& want, const GridMeta& got,
   return IoStatus::Ok();
 }
 
+IoStatus CheckSlice(const GridMeta& want, const GridMeta& got, Coverage coverage,
+                    const std::string& context) {
+  if (IoStatus status = CheckSameDataset(want, got, context); !status.ok()) {
+    return status;
+  }
+  const bool ends_ok = coverage == Coverage::kExact ? got.key_end == want.key_end
+                                                    : got.key_end <= want.key_end;
+  if (got.key_begin != want.key_begin || !ends_ok) {
+    return IoStatus::Fail(context + ": covers keys [" + std::to_string(got.key_begin) +
+                          ", " + std::to_string(got.key_end) +
+                          ") but the manifest assigns [" +
+                          std::to_string(want.key_begin) + ", " +
+                          std::to_string(want.key_end) + ")" +
+                          (coverage == Coverage::kPrefix ? " or a prefix of it" : ""));
+  }
+  return IoStatus::Ok();
+}
+
 namespace {
 
 IoStatus WriteGridFileImpl(const std::string& path, const GridMeta& meta,
@@ -337,6 +355,14 @@ IoStatus GridFileView::Open(const std::string& path) {
     return status;
   }
   return ParseGridImage(map_.bytes(), path, &meta_, &cells_);
+}
+
+IoStatus GridFileView::OpenSlice(const std::string& path, const GridMeta& want,
+                                 Coverage coverage) {
+  if (IoStatus status = Open(path); !status.ok()) {
+    return status;
+  }
+  return CheckSlice(want, meta_, coverage, path);
 }
 
 SingleByteGrid ToSingleByteGrid(StoredGrid stored) {

@@ -88,6 +88,18 @@ IoStatus ValidateMeta(const GridMeta& meta, const std::string& context);
 IoStatus CheckSameDataset(const GridMeta& want, const GridMeta& got,
                           const std::string& context);
 
+// How much of a wanted slice a stored grid must cover. A final shard grid, a
+// cache entry or an equality check holds its slice exactly; a checkpoint or
+// an incremental merge base holds a prefix of it.
+enum class Coverage : uint8_t { kExact, kPrefix };
+
+// The one rule for "this file holds the keys it should" (docs/store.md,
+// "Which file holds which keys"): `got` is the same dataset as `want`
+// (CheckSameDataset), starts at want.key_begin, and ends at want.key_end
+// (kExact) or anywhere up to it (kPrefix). The diagnostic names `context`.
+IoStatus CheckSlice(const GridMeta& want, const GridMeta& got, Coverage coverage,
+                    const std::string& context);
+
 // A fully-loaded grid file: provenance + owned counter cells.
 struct StoredGrid {
   GridMeta meta;
@@ -115,6 +127,9 @@ IoStatus ReadGridFile(const std::string& path, StoredGrid* out);
 class GridFileView {
  public:
   IoStatus Open(const std::string& path);
+  // Open() plus CheckSlice(want, meta(), coverage, path).
+  IoStatus OpenSlice(const std::string& path, const GridMeta& want,
+                     Coverage coverage);
 
   const GridMeta& meta() const { return meta_; }
   std::span<const uint64_t> cells() const { return cells_; }

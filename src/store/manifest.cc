@@ -247,6 +247,14 @@ IoStatus ReadManifest(const std::string& path, Manifest* out) {
   return ValidateManifest(*out, path);
 }
 
+GridMeta ShardMeta(const Manifest& manifest, uint32_t index) {
+  GridMeta want = manifest.grid;
+  want.key_begin = manifest.shards[index].key_begin;
+  want.key_end = manifest.shards[index].key_end;
+  want.samples = 0;
+  return want;
+}
+
 std::string ResolveManifestPath(const std::string& manifest_path,
                                 const std::string& shard_path) {
   if (!shard_path.empty() && shard_path[0] == '/') {

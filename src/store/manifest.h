@@ -69,6 +69,10 @@ IoStatus ExtendManifestPlan(Manifest* manifest, uint64_t new_key_end,
 // exactly — sorted, no gaps, no overlaps, none empty.
 IoStatus ValidateManifest(const Manifest& manifest, const std::string& context);
 
+// The provenance shard `index`'s files must carry: the manifest's dataset
+// over the shard's key range (check them with CheckSlice).
+GridMeta ShardMeta(const Manifest& manifest, uint32_t index);
+
 // Serializes atomically / parses with field-level diagnostics.
 IoStatus WriteManifest(const std::string& path, const Manifest& manifest);
 IoStatus ReadManifest(const std::string& path, Manifest* out);

@@ -4,10 +4,12 @@
 // machines: because every shard counts a disjoint slice of one globally
 // indexed key stream, summing the 64-bit counter cells reproduces exactly
 // the grid a single process would have produced over the whole range.
-// Everything is validated before a single cell is added — checksums, format
-// version, provenance compatibility, and exact key-range coverage — so a
-// corrupt, foreign or missing shard is always a loud, path-qualified error;
-// partial grids are never merged silently.
+// Each shard is validated before its cells are added — checksums, format
+// version, and the slice rule (CheckSlice: the same dataset, exactly the
+// manifest's key range) — and its counts are checked while they are added:
+// `samples` must be what the key range implies and every row must sum to it.
+// A corrupt, foreign, miscounted or missing shard is always a loud,
+// path-qualified error; partial grids are never merged silently.
 #ifndef SRC_STORE_MERGE_H_
 #define SRC_STORE_MERGE_H_
 
@@ -31,8 +33,9 @@ struct MergeOptions {
   // manifest's key range. Its cells are the starting sum and every shard it
   // already covers is skipped — so after ExtendManifestPlan grows a
   // campaign, only the new shards' files need to exist (or be regenerated).
-  // The base must match the dataset, start at the manifest's key_begin, and
-  // end exactly on a shard boundary.
+  // The base must hold a prefix of the manifest's slice (CheckSlice) that
+  // ends exactly on a shard boundary, and its counts are checked like a
+  // shard's.
   const StoredGrid* base = nullptr;
   // Degraded (partial) merge: a shard whose file is missing or fails
   // validation is recorded in MergeOutcome::missing instead of failing the
@@ -60,9 +63,9 @@ IoStatus MergeShardGridsEx(const Manifest& manifest,
                            const MergeOptions& options, StoredGrid* out,
                            MergeOutcome* outcome);
 
-// Same-dataset + same-range + identical samples and cells (merge and
-// kill/resume round-trip checks; the informational interleave width is
-// ignored). Returns a diagnostic naming the first difference.
+// Same slice (CheckSlice, exact coverage) + identical samples and cells
+// (merge and kill/resume round-trip checks; the informational interleave
+// width is ignored). Returns a diagnostic naming the first difference.
 IoStatus CheckGridsEqual(const StoredGrid& a, const StoredGrid& b,
                          const std::string& a_name, const std::string& b_name);
 

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <type_traits>
 
-#include <sys/stat.h>
-
 #include "src/common/fault_injector.h"
 #include "src/engine/accumulators.h"
 #include "src/engine/keystream_engine.h"
@@ -14,11 +12,6 @@
 namespace rc4b::store {
 
 namespace {
-
-bool PathExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 // Adds keys [begin, end) of `grid->meta`'s dataset into `grid` in place:
 // its cells move into the engine accumulator for the kind and back out, and
@@ -94,68 +87,50 @@ IoStatus RunShard(const Manifest& manifest, const std::string& manifest_path,
       ResolveManifestPath(manifest_path, shard.path);
   const std::string ckpt_path = CheckpointPath(final_path);
 
-  GridMeta shard_meta = manifest.grid;
-  shard_meta.key_begin = shard.key_begin;
-  shard_meta.key_end = shard.key_end;
-  shard_meta.samples = 0;
+  const GridMeta want = ShardMeta(manifest, shard_index);
 
   // Idempotence: an existing valid final grid for this exact slice is done.
   // An existing final file that fails validation (corrupt, or provenance
   // from some other dataset) is a loud error, never silently overwritten.
   if (PathExists(final_path)) {
-    StoredGrid existing;
-    if (IoStatus status = ReadGridFile(final_path, &existing); !status.ok()) {
+    GridFileView existing;
+    if (IoStatus status = existing.Open(final_path); !status.ok()) {
       return IoStatus::Fail("existing shard output is invalid (" +
                             status.message() +
                             "); remove the file to regenerate");
     }
-    if (IoStatus status = CheckSameDataset(shard_meta, existing.meta, final_path);
+    if (IoStatus status =
+            CheckSlice(want, existing.meta(), Coverage::kExact, final_path);
         !status.ok()) {
       return status;
     }
-    if (existing.meta.key_begin != shard.key_begin ||
-        existing.meta.key_end != shard.key_end) {
-      return IoStatus::Fail(final_path + ": existing file covers keys [" +
-                            std::to_string(existing.meta.key_begin) + ", " +
-                            std::to_string(existing.meta.key_end) +
-                            "), shard owns [" + std::to_string(shard.key_begin) +
-                            ", " + std::to_string(shard.key_end) + ")");
-    }
     result->finished = true;
     result->resumed = true;
-    result->keys_completed = shard.key_end - shard.key_begin;
+    result->keys_completed = want.keys();
     return IoStatus::Ok();
   }
 
   StoredGrid partial;
-  partial.meta = shard_meta;
+  partial.meta = want;
   uint64_t progress = shard.key_begin;
 
   if (PathExists(ckpt_path)) {
-    StoredGrid checkpoint;
-    if (IoStatus status = ReadGridFile(ckpt_path, &checkpoint); !status.ok()) {
+    GridFileView checkpoint;
+    if (IoStatus status = checkpoint.Open(ckpt_path); !status.ok()) {
       return IoStatus::Fail("checkpoint is corrupt (" + status.message() +
                             "); remove it to restart the shard from scratch");
     }
-    if (IoStatus status = CheckSameDataset(shard_meta, checkpoint.meta, ckpt_path);
+    if (IoStatus status =
+            CheckSlice(want, checkpoint.meta(), Coverage::kPrefix, ckpt_path);
         !status.ok()) {
       return status;
     }
-    if (checkpoint.meta.key_begin != shard.key_begin ||
-        checkpoint.meta.key_end > shard.key_end) {
-      return IoStatus::Fail(
-          ckpt_path + ": checkpoint covers keys [" +
-          std::to_string(checkpoint.meta.key_begin) + ", " +
-          std::to_string(checkpoint.meta.key_end) + ") outside the shard's [" +
-          std::to_string(shard.key_begin) + ", " +
-          std::to_string(shard.key_end) + ")");
-    }
-    progress = checkpoint.meta.key_end;
-    partial.cells = std::move(checkpoint.cells);
-    partial.meta.samples = checkpoint.meta.samples;
+    progress = checkpoint.meta().key_end;
+    partial.cells.assign(checkpoint.cells().begin(), checkpoint.cells().end());
+    partial.meta.samples = checkpoint.meta().samples;
     result->resumed = true;
   } else {
-    partial.cells.assign(shard_meta.cell_count(), 0);
+    partial.cells.assign(want.cell_count(), 0);
   }
 
   const uint64_t step = options.checkpoint_keys == 0

@@ -53,9 +53,11 @@ struct ShardRunOptions {
 };
 
 // Runs shard `shard_index` of `manifest` (paths resolved relative to
-// `manifest_path`). Idempotent: a valid existing final grid returns
-// immediately; a valid checkpoint resumes; a corrupt checkpoint or a final
-// file from a different dataset is a loud error, never silently overwritten.
+// `manifest_path`). Idempotent: a final grid holding the shard's exact slice
+// (ShardMeta, CheckSlice) returns immediately; a checkpoint holding a prefix
+// of it resumes, its cells copied out of the mapped file once. A corrupt
+// file, or one from another dataset or key range, is a loud error, never
+// silently overwritten.
 IoStatus RunShard(const Manifest& manifest, const std::string& manifest_path,
                   uint32_t shard_index, const ShardRunOptions& options,
                   ShardRunResult* result);

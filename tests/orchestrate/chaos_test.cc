@@ -283,5 +283,53 @@ TEST(ChaosTest, CampaignProgressReadsCheckpointProvenance) {
   EXPECT_EQ(after[1], 0x1000u);
 }
 
+// Writes a checkpoint for `shard` that holds keys [begin, end) of `grid`.
+void WriteCheckpoint(const store::ShardEntry& shard, store::GridMeta grid,
+                     uint64_t begin, uint64_t end) {
+  grid.key_begin = begin;
+  grid.key_end = end;
+  const store::StoredGrid partial = store::GenerateStoredGrid(grid, 1, 0);
+  ASSERT_TRUE(store::WriteGridFile(store::CheckpointPath(shard.path), partial.meta,
+                                   partial.cells)
+                  .ok());
+}
+
+TEST(ChaosTest, CampaignProgressIgnoresForeignAndOutOfRangeCheckpoints) {
+  const std::string dir = FreshDir("chaos-progress-foreign");
+  const Campaign campaign = PlanCampaign(dir, 0x2000, 2);
+  const store::Manifest& manifest = campaign.manifest;
+  store::GridMeta foreign = manifest.grid;
+  foreign.seed = 7;
+  WriteCheckpoint(manifest.shards[0], foreign, 0, 0x400);
+  WriteCheckpoint(manifest.shards[1], manifest.grid, 0x1400, 0x1800);
+  std::vector<uint64_t> progress = CampaignProgress(manifest, campaign.manifest_path);
+  EXPECT_EQ(progress[0], 0u);
+  EXPECT_EQ(progress[1], 0u);
+
+  // The same shard with an in-range prefix does count.
+  WriteCheckpoint(manifest.shards[1], manifest.grid, 0x1000, 0x1400);
+  progress = CampaignProgress(manifest, campaign.manifest_path);
+  EXPECT_EQ(progress[1], 0x400u);
+}
+
+TEST(ChaosTest, ForeignCheckpointIsSetAsideNeverTrusted) {
+  const std::string dir = FreshDir("chaos-foreign-ckpt");
+  const Campaign campaign = PlanCampaign(dir, 0x2000, 2);
+  store::GridMeta foreign = campaign.manifest.grid;
+  foreign.seed = 7;
+  WriteCheckpoint(campaign.manifest.shards[0], foreign, 0, 0x400);
+
+  // The first worker refuses the checkpoint (fatal); the scheduler sets it
+  // aside and the retry starts the shard from scratch.
+  const CampaignReport report = RunAndVerify(campaign, true);
+  EXPECT_EQ(report.shards[0].attempts, 2u) << report.Summary();
+  const std::string aside =
+      store::CheckpointPath(campaign.manifest.shards[0].path) + ".quarantined1";
+  ASSERT_EQ(report.shards[0].quarantined_files.size(), 1u) << report.Summary();
+  EXPECT_EQ(report.shards[0].quarantined_files[0], aside);
+  EXPECT_TRUE(PathExists(aside));
+  EXPECT_EQ(report.shards[1].attempts, 1u) << report.Summary();
+}
+
 }  // namespace
 }  // namespace rc4b::orchestrate

@@ -88,14 +88,16 @@ TEST(ConcurrencyStressTest, ConcurrentCacheReadersSeeOneBitExactGrid) {
   options.keys = 1 << 9;
   options.seed = 13;
   options.workers = 2;
-  const SingleByteGrid reference = cache.LoadOrGenerateSingleByte(8, options);
+  const SingleByteGrid reference = ToSingleByteGrid(
+      cache.LoadOrGenerate(MetaForSingleByte(8, options), options.workers));
 
   std::vector<std::thread> threads;
   std::vector<int> matches(8, 0);
   for (size_t t = 0; t < matches.size(); ++t) {
     threads.emplace_back([&, t] {
       GridCache reader(dir);
-      const SingleByteGrid grid = reader.LoadOrGenerateSingleByte(8, options);
+      const SingleByteGrid grid = ToSingleByteGrid(
+          reader.LoadOrGenerate(MetaForSingleByte(8, options), options.workers));
       matches[t] = grid.keys() == reference.keys() &&
                    std::equal(grid.Cells().begin(), grid.Cells().end(),
                               reference.Cells().begin());
@@ -126,7 +128,8 @@ TEST(ConcurrencyStressTest, RacingCacheFillsNeverPublishATornFile) {
   for (size_t t = 0; t < matches.size(); ++t) {
     threads.emplace_back([&, t] {
       GridCache filler(dir);
-      const SingleByteGrid grid = filler.LoadOrGenerateSingleByte(8, options);
+      const SingleByteGrid grid = ToSingleByteGrid(
+          filler.LoadOrGenerate(MetaForSingleByte(8, options), options.workers));
       matches[t] = std::equal(reference.cells.begin(), reference.cells.end(),
                               grid.Cells().begin(), grid.Cells().end());
     });

@@ -1,5 +1,6 @@
 #include "src/store/merge.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -223,6 +224,81 @@ TEST(MergeTest, AllowMissingRecordsTheGapInsteadOfFailing) {
   EXPECT_EQ(merged.meta.samples,
             grid.keys() - (manifest.shards[1].key_end -
                            manifest.shards[1].key_begin));
+}
+
+TEST(MergeTest, RejectsShardWhoseRowDoesNotSumToItsSamples) {
+  const std::string dir = TempDir("merge-row-sum");
+  const GridMeta grid = SmallMeta(GridKind::kConsecutive);
+  const Manifest manifest = WriteShards(grid, 2, dir);
+
+  // One bumped cell, rewritten through WriteGridFile: both CRCs are valid,
+  // only the counts are wrong.
+  const std::string path = manifest.shards[1].path;
+  StoredGrid shard;
+  ASSERT_TRUE(ReadGridFile(path, &shard).ok());
+  shard.cells[3 * CellsPerRow(grid.kind) + 7] += 1;
+  ASSERT_TRUE(WriteGridFile(path, shard.meta, shard.cells).ok());
+
+  StoredGrid merged;
+  IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  ASSERT_FALSE(status.ok());
+  EXPECT_FALSE(status.transient());  // a data error: retrying cannot help
+  const std::string& message = status.message();
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  EXPECT_NE(message.find("row 3"), std::string::npos) << message;
+  EXPECT_NE(message.find(std::to_string(shard.meta.samples)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::to_string(shard.meta.samples + 1)), std::string::npos)
+      << message;
+
+  // A degraded merge records the shard as missing and keeps none of its rows.
+  MergeOptions options;
+  options.allow_missing = true;
+  MergeOutcome outcome;
+  status = MergeShardGridsEx(manifest, dir + "/x.manifest", options, &merged, &outcome);
+  ASSERT_TRUE(status.ok()) << status.message();
+  ASSERT_EQ(outcome.missing.size(), 1u);
+  EXPECT_EQ(outcome.missing[0].index, 1u);
+  StoredGrid first;
+  ASSERT_TRUE(ReadGridFile(manifest.shards[0].path, &first).ok());
+  EXPECT_EQ(merged.meta.samples, first.meta.samples);
+  EXPECT_TRUE(std::equal(merged.cells.begin(), merged.cells.end(),
+                         first.cells.begin(), first.cells.end()));
+}
+
+TEST(MergeTest, RejectsShardWhoseSamplesDisagreeWithItsKeyRange) {
+  const std::string dir = TempDir("merge-samples-range");
+  const GridMeta grid = SmallMeta(GridKind::kSingleByte);
+  const Manifest manifest = WriteShards(grid, 2, dir);
+  const std::string path = manifest.shards[0].path;
+  StoredGrid shard;
+  ASSERT_TRUE(ReadGridFile(path, &shard).ok());
+  shard.meta.samples += 1;
+  ASSERT_TRUE(WriteGridFile(path, shard.meta, shard.cells).ok());
+
+  StoredGrid merged;
+  const IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(path), std::string::npos) << status.message();
+  EXPECT_NE(status.message().find("implies"), std::string::npos) << status.message();
+}
+
+TEST(MergeTest, RejectsBaseWhoseRowDoesNotSumToItsSamples) {
+  const std::string dir = TempDir("merge-base-row-sum");
+  const GridMeta grid = SmallMeta(GridKind::kConsecutive);
+  const Manifest manifest = WriteShards(grid, 2, dir);
+  GridMeta prefix = grid;
+  prefix.key_end = manifest.shards[0].key_end;
+  StoredGrid base = GenerateStoredGrid(prefix, 1, 0);
+  base.cells[0] += 1;
+  MergeOptions options;
+  options.base = &base;
+  StoredGrid merged;
+  const IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", options, &merged, nullptr);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("incremental base: row 0"), std::string::npos)
+      << status.message();
 }
 
 TEST(MergeTest, MergedSamplesAreTheShardSum) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +168,64 @@ TEST(ShardResumeTest, ForeignFinalFileIsALoudError) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("seed"), std::string::npos);
   std::remove(manifest.shards[0].path.c_str());
+}
+
+TEST(ShardResumeTest, CheckpointOutsideTheShardIsALoudError) {
+  const std::string dir = TempDir("range-ckpt");
+  const GridMeta grid = SmallMeta(GridKind::kSingleByte);
+  const Manifest manifest = PlanShards(grid, 2, dir + "/duo");
+  const ShardEntry& shard = manifest.shards[1];  // keys [2048, 4096)
+  const std::string ckpt = CheckpointPath(shard.path);
+  std::remove(shard.path.c_str());
+  // Same dataset, wrong slice: one checkpoint starts off the shard's first
+  // key, the other ends past its last.
+  const std::pair<uint64_t, uint64_t> ranges[] = {
+      {shard.key_begin + 1, shard.key_begin + 1024},
+      {shard.key_begin, shard.key_end + 1}};
+  for (const auto& [begin, end] : ranges) {
+    GridMeta slice = grid;
+    slice.key_begin = begin;
+    slice.key_end = end;
+    const StoredGrid stale = GenerateStoredGrid(slice, 1, 0);
+    ASSERT_TRUE(WriteGridFile(ckpt, stale.meta, stale.cells).ok());
+
+    ShardRunResult result;
+    const IoStatus status =
+        RunShard(manifest, dir + "/x.manifest", 1, ShardRunOptions{}, &result);
+    ASSERT_FALSE(status.ok());
+    const std::string& message = status.message();
+    EXPECT_NE(message.find(ckpt), std::string::npos) << message;
+    const std::string range = std::to_string(begin) + ", " + std::to_string(end) + ")";
+    EXPECT_NE(message.find(range), std::string::npos) << message;
+    EXPECT_NE(message.find("[2048, 4096)"), std::string::npos) << message;
+    EXPECT_FALSE(result.finished);
+    EXPECT_FALSE(PathExists(shard.path));
+  }
+  std::remove(ckpt.c_str());
+}
+
+TEST(ShardResumeTest, FinalFileCoveringTheWrongRangeIsALoudError) {
+  const std::string dir = TempDir("range-final");
+  const GridMeta grid = SmallMeta(GridKind::kSingleByte);
+  const Manifest manifest = PlanShards(grid, 2, dir + "/duo");
+  // Shard 0's output holds shard 1's slice of the same dataset.
+  GridMeta slice = grid;
+  slice.key_begin = manifest.shards[1].key_begin;
+  slice.key_end = manifest.shards[1].key_end;
+  const StoredGrid other = GenerateStoredGrid(slice, 1, 0);
+  const std::string path = manifest.shards[0].path;
+  ASSERT_TRUE(WriteGridFile(path, other.meta, other.cells).ok());
+
+  ShardRunResult result;
+  const IoStatus status =
+      RunShard(manifest, dir + "/x.manifest", 0, ShardRunOptions{}, &result);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(path), std::string::npos) << status.message();
+  EXPECT_NE(status.message().find("[2048, 4096)"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("[0, 2048)"), std::string::npos) << status.message();
+  EXPECT_FALSE(result.finished);
+  std::remove(path.c_str());
 }
 
 TEST(ShardResumeTest, ShardIndexOutOfRangeIsAnError) {

@@ -116,7 +116,14 @@ int Run(int argc, char** argv) {
 
   const store::Manifest manifest = store::PlanShards(
       grid, static_cast<uint32_t>(flags.GetUint("shards")), prefix);
-  if (IoStatus status = store::WriteManifest(out, manifest); !status.ok()) {
+  // A new plan may name a directory that does not exist yet.
+  const size_t slash = out.find_last_of('/');
+  IoStatus status =
+      slash == std::string::npos ? IoStatus::Ok() : MakeDirs(out.substr(0, slash));
+  if (status.ok()) {
+    status = store::WriteManifest(out, manifest);
+  }
+  if (!status.ok()) {
     std::fprintf(stderr, "grid_plan: %s\n", status.message().c_str());
     return ExitCodeForStatus(status);
   }
