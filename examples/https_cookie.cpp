@@ -21,7 +21,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/rng.h"
-#include "src/recovery/likelihood_source.h"
+#include "src/recovery/engine.h"
 #include "src/sim/cookie_sim.h"
 #include "src/tls/cookie_attack.h"
 #include "src/tls/session.h"
@@ -85,10 +85,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    // The captured-statistics likelihood source: FM + multi-gap ABSAB
-    // combination behind the same interface the sampled path uses below.
-    recovery::CapturedCookieLikelihoodSource source(stats, align1);
-    transitions = source.Tables();
+    // FM + multi-gap ABSAB combination over the captured statistics: the
+    // same table shape the sampled path below produces.
+    transitions = CookieTransitionTables(stats, align1);
   } else {
     // --- Paper-scale statistics via the shared Fig. 10 simulation pipeline
     // (src/sim/cookie_sim.h): exact Poissonized FM counts plus multi-gap
@@ -103,9 +102,8 @@ int main(int argc, char** argv) {
     sim_options.m1 = m1;
     sim_options.m_last = m_last;
     const sim::CookieSimContext context(sim_options);
-    sim::SampledCookieLikelihoodSource source(context, secret_cookie, requests,
-                                              rng);
-    transitions = source.Tables();
+    transitions =
+        sim::SampleCookieTransitions(context, secret_cookie, requests, rng);
   }
 
   // --- Brute force against the server -------------------------------------
@@ -120,24 +118,27 @@ int main(int argc, char** argv) {
     ++server_hits;
     return candidate == secret_cookie;
   };
-  const auto result =
-      BruteForceCookie(transitions, m1, m_last, alphabet,
-                       flags.GetUint("attempts"), try_cookie);
+  recovery::RecoveryOptions options;
+  options.max_candidates = flags.GetUint("attempts");
+  const recovery::RecoveryEngine engine(std::move(options));
+  const auto result = engine.RecoverDouble(
+      transitions, recovery::PairBoundary{m1, m_last}, alphabet, try_cookie);
 
-  if (result.success) {
+  if (result.found) {
     std::printf("\ncookie RECOVERED after %llu attempts: %s\n",
-                static_cast<unsigned long long>(result.attempts),
-                std::string(result.cookie.begin(), result.cookie.end()).c_str());
+                static_cast<unsigned long long>(result.candidates_tried),
+                std::string(result.plaintext.begin(), result.plaintext.end())
+                    .c_str());
     std::printf("(true cookie:                          %s)\n",
                 std::string(secret_cookie.begin(), secret_cookie.end()).c_str());
     std::printf("at the paper's 20000 tests/second this is %.1f seconds of "
                 "brute force.\n",
-                static_cast<double>(result.attempts) / 20000.0);
+                static_cast<double>(result.candidates_tried) / 20000.0);
     return 0;
   }
   std::printf("\ncookie not in the first %llu candidates — increase "
               "--requests or --attempts (paper: 9*2^27 requests, 2^23 "
               "attempts, 94%% success).\n",
-              static_cast<unsigned long long>(result.attempts));
+              static_cast<unsigned long long>(result.candidates_tried));
   return 1;
 }

@@ -18,7 +18,6 @@
 #include "src/common/rng.h"
 #include "src/core/likelihood.h"
 #include "src/net/packet.h"
-#include "src/recovery/likelihood_source.h"
 #include "src/sim/tkip_sim.h"
 #include "src/tkip/attack.h"
 #include "src/tkip/frame.h"
@@ -123,13 +122,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 4: likelihoods, candidates, CRC pruning ----------------------
-  // The per-TSC1 likelihood source plus the RecoveryEngine's CRC-verified
+  // The per-TSC1 likelihood tables plus the RecoveryEngine's CRC-verified
   // traversal (inside RecoverTkipTrailer) — the same unified pipeline every
   // registry scenario runs (docs/recovery.md).
   std::printf("computing per-position likelihoods and traversing candidates "
               "in decreasing likelihood...\n");
-  recovery::TkipTscLikelihoodSource likelihood_source(stats, model);
-  const auto tables = likelihood_source.Tables();
+  const auto tables = TkipTrailerLikelihoods(stats, model);
   const auto result = RecoverTkipTrailer(msdu, tables, flags.GetUint("budget"),
                                          true_trailer, victim);
   if (!result.found) {

@@ -6,7 +6,7 @@
 //   * a long-term variant with 2^40 bytes per key (2^12 keys).
 // We reproduce the same worker structure — AES-CTR-derived random 128-bit RC4
 // keys, 16-bit worker counters flushed into 64-bit merge grids — scaled to a
-// single machine with configurable key counts (see DESIGN.md).
+// single machine with configurable key counts (see docs/engine.md).
 #ifndef SRC_BIASES_DATASET_H_
 #define SRC_BIASES_DATASET_H_
 

@@ -132,10 +132,6 @@ void BinaryWriter::Write(const void* data, size_t bytes, const char* what) {
 
 void BinaryWriter::WriteU64(uint64_t v) { Write(&v, sizeof(v), "write u64 to"); }
 
-void BinaryWriter::WriteDoubles(std::span<const double> values) {
-  Write(values.data(), values.size_bytes(), "write doubles to");
-}
-
 void BinaryWriter::WriteU64s(std::span<const uint64_t> values) {
   Write(values.data(), values.size_bytes(), "write u64s to");
 }
@@ -203,48 +199,6 @@ void BinaryWriter::Abandon() {
   }
   std::remove(tmp_path_.c_str());
   finished_ = true;
-}
-
-// ------------------------------------------------------------------ reader --
-
-BinaryReader::BinaryReader(const std::string& path) : path_(path) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    status_ = IoStatus::FromErrno("open", path_);
-  }
-}
-
-BinaryReader::~BinaryReader() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
-bool BinaryReader::Read(void* out, size_t bytes, const char* what) {
-  if (!status_.ok()) {
-    return false;
-  }
-  if (std::fread(out, 1, bytes, file_) != bytes) {
-    status_ = std::ferror(file_) != 0
-                  ? IoStatus::FromErrno(what, path_)
-                  : IoStatus::Fail(std::string(what) + " " + path_ +
-                                   ": unexpected end of file");
-    return false;
-  }
-  return true;
-}
-
-uint64_t BinaryReader::ReadU64() {
-  uint64_t v = 0;
-  return Read(&v, sizeof(v), "read u64 from") ? v : 0;
-}
-
-bool BinaryReader::ReadDoubles(std::span<double> out) {
-  return Read(out.data(), out.size_bytes(), "read doubles from");
-}
-
-bool BinaryReader::ReadU64s(std::span<uint64_t> out) {
-  return Read(out.data(), out.size_bytes(), "read u64s from");
 }
 
 // -------------------------------------------------------------------- mmap --

@@ -1,9 +1,9 @@
-// File I/O for datasets and models: rich error reporting, atomic
-// write-rename, and read-only memory maps. Expensive artifacts (per-TSC
-// models, keystream grids, checkpoints) are generated once and reused across
-// runs, so every failure carries the path and errno context it happened at,
-// and every writer lands its output atomically — a crashed or killed process
-// never leaves a torn file behind (src/store/ checkpoints rely on this).
+// File I/O for datasets: rich error reporting, atomic write-rename, and
+// read-only memory maps. Expensive artifacts (keystream grids, checkpoints)
+// are generated once and reused across runs, so every failure carries the
+// path and errno context it happened at, and every writer lands its output
+// atomically — a crashed or killed process never leaves a torn file behind
+// (src/store/ checkpoints rely on this).
 // Binary formats are little-endian, magic + version headers, raw arrays; not
 // portable across endianness (research tooling, not a wire format).
 #ifndef SRC_COMMON_IO_H_
@@ -87,7 +87,6 @@ class BinaryWriter {
   const std::string& tmp_path() const { return tmp_path_; }
 
   void WriteU64(uint64_t v);
-  void WriteDoubles(std::span<const double> values);
   void WriteU64s(std::span<const uint64_t> values);
   void WriteBytes(std::span<const uint8_t> bytes);
 
@@ -112,31 +111,6 @@ class BinaryWriter {
   std::FILE* file_ = nullptr;
   IoStatus status_;
   bool finished_ = false;
-};
-
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path);
-  ~BinaryReader();
-
-  BinaryReader(const BinaryReader&) = delete;
-  BinaryReader& operator=(const BinaryReader&) = delete;
-
-  // ok() turns false on the first failed read; status() says which read and
-  // on which file.
-  bool ok() const { return status_.ok(); }
-  const IoStatus& status() const { return status_; }
-
-  uint64_t ReadU64();
-  bool ReadDoubles(std::span<double> out);
-  bool ReadU64s(std::span<uint64_t> out);
-
- private:
-  bool Read(void* out, size_t bytes, const char* what);
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  IoStatus status_;
 };
 
 // Read-only memory map of a whole file. The grid store parses headers and

@@ -4,13 +4,8 @@
 
 namespace rc4b::orchestrate {
 
-SystemClock& SystemClock::Instance() {
-  static SystemClock clock;
-  return clock;
-}
-
-uint64_t SystemClock::NowMs() {
-  // The single real-clock seam: lease heartbeats must be comparable across
+uint64_t NowMs() {
+  // The single real-clock read: lease heartbeats must be comparable across
   // process (eventually host) boundaries, which steady_clock is not.
   const auto now = std::chrono::system_clock::now();  // lint:allow(wall-clock)
   return static_cast<uint64_t>(

@@ -1,8 +1,8 @@
-// Injectable time source for lease heartbeats and retry scheduling.
-// Heartbeat staleness is a wall-clock concept (hosts compare timestamps
-// other hosts wrote), which the determinism lint otherwise bans — so the
-// real clock lives behind this interface with a single lint:allow at the
-// seam (clock.cc), and every test drives a ManualClock instead.
+// Wall-clock time for lease heartbeats and retry scheduling. Heartbeat
+// staleness is a wall-clock concept (hosts compare timestamps other hosts
+// wrote), which the determinism lint otherwise bans — so the one read lives
+// here, with a single lint:allow in clock.cc. The lease API takes `now_ms`
+// as an argument, so tests drive lease expiry with literal times.
 #ifndef SRC_ORCHESTRATE_CLOCK_H_
 #define SRC_ORCHESTRATE_CLOCK_H_
 
@@ -10,33 +10,8 @@
 
 namespace rc4b::orchestrate {
 
-class Clock {
- public:
-  virtual ~Clock() = default;
-  // Milliseconds on an epoch shared by every process of the campaign.
-  virtual uint64_t NowMs() = 0;
-};
-
-// The real clock (process-shared epoch). The one place the orchestrator
-// reads wall-clock time.
-class SystemClock : public Clock {
- public:
-  static SystemClock& Instance();
-  uint64_t NowMs() override;
-};
-
-// Test clock: time moves only when the test says so, making lease expiry
-// and backoff deterministic.
-class ManualClock : public Clock {
- public:
-  explicit ManualClock(uint64_t start_ms = 0) : now_ms_(start_ms) {}
-  uint64_t NowMs() override { return now_ms_; }
-  void Advance(uint64_t delta_ms) { now_ms_ += delta_ms; }
-  void Set(uint64_t now_ms) { now_ms_ = now_ms; }
-
- private:
-  uint64_t now_ms_;
-};
+// Milliseconds on an epoch shared by every process of the campaign.
+uint64_t NowMs();
 
 }  // namespace rc4b::orchestrate
 

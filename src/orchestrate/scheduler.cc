@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "src/common/fault_injector.h"
+#include "src/orchestrate/clock.h"
 #include "src/orchestrate/lease.h"
 #include "src/store/grid_file.h"
 
@@ -52,8 +53,7 @@ uint64_t ShardProgressKeys(const store::Manifest& manifest, uint32_t index,
 // contract: 0 done, 75 retryable (lease busy/lost, transient I/O), 1 fatal.
 int RunShardWorker(const store::Manifest& manifest,
                    const std::string& manifest_path, uint32_t index,
-                   const CampaignOptions& options, uint32_t attempt,
-                   Clock* clock) {
+                   const CampaignOptions& options, uint32_t attempt) {
   // The inherited environment, not the parent's parse of it, decides which
   // faults this worker runs under.
   FaultInjector::Instance().ReloadFromEnv();
@@ -62,7 +62,7 @@ int RunShardWorker(const store::Manifest& manifest,
   const std::string lease_path = LeasePath(final_path);
   const std::string owner = OwnerTag(::getpid(), attempt);
   Lease lease;
-  if (IoStatus status = AcquireLease(lease_path, owner, clock->NowMs(),
+  if (IoStatus status = AcquireLease(lease_path, owner, NowMs(),
                                      options.lease_ttl_ms, attempt, &lease);
       !status.ok()) {
     std::fprintf(stderr, "shard %u worker: %s\n", index, status.message().c_str());
@@ -72,7 +72,7 @@ int RunShardWorker(const store::Manifest& manifest,
   run.on_checkpoint = [&](const store::ShardRunResult&) {
     // Checkpoint cadence is heartbeat cadence; losing the lease here stops
     // the worker before it can touch files a stealer now owns.
-    return RenewLease(lease_path, owner, clock->NowMs());
+    return RenewLease(lease_path, owner, NowMs());
   };
   store::ShardRunResult result;
   const IoStatus status = store::RunShard(manifest, manifest_path, index, run,
@@ -157,9 +157,7 @@ CampaignScheduler::CampaignScheduler(store::Manifest manifest,
                                      CampaignOptions options)
     : manifest_(std::move(manifest)),
       manifest_path_(std::move(manifest_path)),
-      options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : &SystemClock::Instance()) {}
+      options_(options) {}
 
 std::string CampaignScheduler::FinalPath(uint32_t index) const {
   return store::ResolveManifestPath(manifest_path_, manifest_.shards[index].path);
@@ -254,7 +252,7 @@ void CampaignScheduler::Launch(uint32_t index, uint64_t now_ms) {
     // Child: run the shard and leave through _exit — the worker must not
     // unwind into the parent's atexit/test machinery.
     ::_exit(RunShardWorker(manifest_, manifest_path_, index, options_,
-                           slot.status.attempts, clock_));
+                           slot.status.attempts));
   }
   slot.pid = pid;
   slot.launched_ms = now_ms;
@@ -328,7 +326,7 @@ IoStatus CampaignScheduler::Run(CampaignReport* report) {
   InitialScan();
 
   while (true) {
-    const uint64_t now = clock_->NowMs();
+    const uint64_t now = NowMs();
     // Reap exited workers.
     for (uint32_t i = 0; i < slots_.size(); ++i) {
       Slot& slot = slots_[i];

@@ -21,7 +21,6 @@
 #include <sys/types.h>
 
 #include "src/common/retry.h"
-#include "src/orchestrate/clock.h"
 #include "src/store/manifest.h"
 #include "src/store/shard_runner.h"
 
@@ -39,7 +38,6 @@ struct CampaignOptions {
   // already covered by a previous merged grid and are skipped outright
   // (their files may no longer exist). See MergeOptions::base.
   uint64_t merged_through_key = 0;
-  Clock* clock = nullptr;  // null = SystemClock::Instance()
 };
 
 enum class ShardState : uint8_t {
@@ -110,7 +108,6 @@ class CampaignScheduler {
   store::Manifest manifest_;
   std::string manifest_path_;
   CampaignOptions options_;
-  Clock* clock_;
   std::vector<Slot> slots_;
 };
 

@@ -32,11 +32,6 @@ RecoveryResult RecoveryEngine::RecoverSingle(
   return result;
 }
 
-RecoveryResult RecoveryEngine::RecoverSingle(
-    SingleByteLikelihoodSource& source, const VerifyPredicate& verify) const {
-  return RecoverSingle(source.Tables(), verify);
-}
-
 RecoveryResult RecoveryEngine::RecoverDouble(
     const DoubleByteTables& transitions, const PairBoundary& boundary,
     std::span<const uint8_t> alphabet, const VerifyPredicate& verify) const {
@@ -54,12 +49,6 @@ RecoveryResult RecoveryEngine::RecoverDouble(
     }
   }
   return result;
-}
-
-RecoveryResult RecoveryEngine::RecoverDouble(
-    DoubleByteLikelihoodSource& source, const PairBoundary& boundary,
-    std::span<const uint8_t> alphabet, const VerifyPredicate& verify) const {
-  return RecoverDouble(source.Tables(), boundary, alphabet, verify);
 }
 
 }  // namespace rc4b::recovery

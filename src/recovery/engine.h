@@ -2,16 +2,20 @@
 //
 // Both headline attacks of the paper are instances of one algorithm:
 //   1. accumulate ciphertext statistics,
-//   2. turn them into per-position likelihood tables (a LikelihoodSource),
+//   2. turn them into per-position likelihood tables (plain functions of
+//      the statistics: TkipTrailerLikelihoods, CookieTransitionTables,
+//      sim::SampleCookieTransitions, SingleByteLogLikelihood per row),
 //   3. enumerate plaintext candidates in decreasing likelihood (Algorithm 1
 //      lazily for single-byte tables, Algorithm 2 for double-byte tables),
 //   4. test each candidate against a verification predicate — the CRC-32
 //      relation between MIC and ICV for TKIP (Sect. 5.3), the server oracle
 //      for HTTPS cookies (Sect. 6.2) — until one is accepted or the
 //      candidate budget runs out.
-// RecoveryEngine owns steps 3-4; src/tkip/attack and src/tls/cookie_attack
-// are thin wrappers that supply their domain predicate, and every scenario
-// in src/recovery/scenario.h runs through this loop.
+// RecoveryEngine owns steps 3-4 and takes only the tables: callers build
+// them with step 2's functions and pass their domain predicate.
+// RecoverTkipTrailer (src/tkip/attack.h) wraps RecoverSingle with the CRC
+// check; the cookie attack calls RecoverDouble with the server oracle; and
+// every scenario in src/recovery/scenario.h runs through this loop.
 #ifndef SRC_RECOVERY_ENGINE_H_
 #define SRC_RECOVERY_ENGINE_H_
 
@@ -20,7 +24,6 @@
 #include <span>
 
 #include "src/core/candidates.h"
-#include "src/recovery/likelihood_source.h"
 
 namespace rc4b::recovery {
 
@@ -68,17 +71,11 @@ class RecoveryEngine {
   // predicate. Empty tables yield an empty result.
   RecoveryResult RecoverSingle(const SingleByteTables& tables,
                                const VerifyPredicate& verify) const;
-  RecoveryResult RecoverSingle(SingleByteLikelihoodSource& source,
-                               const VerifyPredicate& verify) const;
 
   // Double-byte pipeline: Algorithm 2's N-best list (optionally restricted
   // to `alphabet`), brute-forced against the predicate in order. Fewer than
   // two transition tables yield an empty result.
   RecoveryResult RecoverDouble(const DoubleByteTables& transitions,
-                               const PairBoundary& boundary,
-                               std::span<const uint8_t> alphabet,
-                               const VerifyPredicate& verify) const;
-  RecoveryResult RecoverDouble(DoubleByteLikelihoodSource& source,
                                const PairBoundary& boundary,
                                std::span<const uint8_t> alphabet,
                                const VerifyPredicate& verify) const;

@@ -1,114 +1,29 @@
-// Pluggable likelihood sources for the unified plaintext-recovery pipeline
-// (docs/recovery.md).
-//
-// The paper's attacks differ only in where their per-position likelihood
-// tables come from: the TKIP trailer decryption multiplies per-TSC1
-// single-byte models over captured frame statistics (Sect. 5.1), the HTTPS
-// cookie attack combines Fluhrer-McGrew double-byte likelihoods with
-// multi-gap ABSAB differential estimates (Sect. 4.2/4.3), and single-byte
-// broadcast recovery scores each position against a measured keystream
-// distribution (Sect. 3.3/6.1). These interfaces make the table origin a
-// plug-in so the RecoveryEngine (src/recovery/engine.h) and the scenario
-// registry (src/recovery/scenario.h) can drive any of them through one loop.
+// Compatibility name for the TKIP trailer likelihood build. New code calls
+// TkipTrailerLikelihoods (src/tkip/attack.h) directly; this forwarder keeps
+// the name the perfbench tkip-attack workload traces its tables step under.
 #ifndef SRC_RECOVERY_LIKELIHOOD_SOURCE_H_
 #define SRC_RECOVERY_LIKELIHOOD_SOURCE_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "src/core/candidates.h"
-#include "src/tkip/injection.h"
-#include "src/tkip/tsc_model.h"
-#include "src/tls/cookie_attack.h"
+#include "src/tkip/attack.h"
 
 namespace rc4b::recovery {
 
-// Produces per-position single-byte lambda tables (length() rows of 256
-// log-likelihoods) from accumulated ciphertext statistics. Tables() is
-// non-const because sampled sources draw from an attached generator.
-class SingleByteLikelihoodSource {
- public:
-  virtual ~SingleByteLikelihoodSource() = default;
-
-  // Number of unknown plaintext positions covered.
-  virtual size_t length() const = 0;
-
-  // Builds the lambda tables for the current statistics.
-  virtual SingleByteTables Tables() = 0;
-};
-
-// Produces the inner_length() + 1 double-byte transition tables over the
-// adjacent pairs of m1 || P || mL consumed by Algorithm 2.
-class DoubleByteLikelihoodSource {
- public:
-  virtual ~DoubleByteLikelihoodSource() = default;
-
-  // Number of unknown plaintext bytes between the known boundary bytes.
-  virtual size_t inner_length() const = 0;
-
-  // Builds the combined transition tables for the current statistics.
-  virtual DoubleByteTables Tables() = 0;
-};
-
-// Adapter over the per-TSC1 single-byte model: wraps captured TKIP frame
-// statistics plus the attacker's TkipTscModel and multiplies the per-TSC
-// likelihoods (TkipTrailerLikelihoods, Sect. 5.1). The referenced stats and
-// model must outlive the source; Tables() may be called again after more
-// frames were added (the per-checkpoint loop of the TKIP simulations).
-class TkipTscLikelihoodSource : public SingleByteLikelihoodSource {
+// Binds captured TKIP frame statistics to the attacker's per-TSC1 model;
+// Tables() returns TkipTrailerLikelihoods(stats, model) for the statistics
+// as they stand. The referenced stats and model must outlive the object.
+class TkipTscLikelihoodSource {
  public:
   TkipTscLikelihoodSource(const TkipCaptureStats& stats,
                           const TkipTscModel& model)
       : stats_(&stats), model_(&model) {}
 
-  size_t length() const override { return stats_->position_count(); }
-  SingleByteTables Tables() override;
+  SingleByteTables Tables() const {
+    return TkipTrailerLikelihoods(*stats_, *model_);
+  }
 
  private:
   const TkipCaptureStats* stats_;
   const TkipTscModel* model_;
-};
-
-// Adapter over plain per-position keystream models: position r scores its
-// ciphertext byte counts against log_model[r] (formula 11/12). This is the
-// single-byte broadcast-recovery source, and the only one usable beyond
-// keystream position 256 where no TSC structure exists.
-class SingleByteModelSource : public SingleByteLikelihoodSource {
- public:
-  // counts[r] are 256 ciphertext byte counts at position r; log_model[r] are
-  // the 256 log keystream probabilities at that position. Sizes must match.
-  SingleByteModelSource(std::vector<std::vector<uint64_t>> counts,
-                        std::vector<std::vector<double>> log_model);
-
-  size_t length() const override { return counts_.size(); }
-  SingleByteTables Tables() override;
-
- private:
-  std::vector<std::vector<uint64_t>> counts_;
-  std::vector<std::vector<double>> log_model_;
-};
-
-// Adapter over the FM + multi-gap ABSAB combiner for honestly captured
-// request ciphertexts: wraps CookieCaptureStats and builds the combined
-// transition tables at the capture's keystream alignment
-// (CookieTransitionTables, formulas 15 + 25). The stats must outlive the
-// source.
-class CapturedCookieLikelihoodSource : public DoubleByteLikelihoodSource {
- public:
-  // `keystream_alignment` is the 0-based keystream offset of the first
-  // cookie byte modulo 256 (see CookieTransitionTables).
-  CapturedCookieLikelihoodSource(const CookieCaptureStats& stats,
-                                 size_t keystream_alignment)
-      : stats_(&stats), keystream_alignment_(keystream_alignment) {}
-
-  size_t inner_length() const override {
-    return stats_->layout().cookie_length;
-  }
-  DoubleByteTables Tables() override;
-
- private:
-  const CookieCaptureStats* stats_;
-  size_t keystream_alignment_;
 };
 
 }  // namespace rc4b::recovery

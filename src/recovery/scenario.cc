@@ -9,7 +9,6 @@
 #include "src/core/rank.h"
 #include "src/core/synthetic.h"
 #include "src/recovery/engine.h"
-#include "src/recovery/likelihood_source.h"
 #include "src/sim/cookie_sim.h"
 #include "src/sim/runner.h"
 #include "src/sim/tkip_sim.h"
@@ -165,8 +164,10 @@ class SingleByteScenario : public Scenario {
             }
             counts[r] = SampleCounts(shifted, samples, rng);
           }
-          SingleByteModelSource source(std::move(counts), log_model);
-          const auto tables = source.Tables();
+          SingleByteTables tables(length);
+          for (size_t r = 0; r < length; ++r) {
+            tables[r] = SingleByteLogLikelihood(counts[r], log_model[r]);
+          }
 
           Trial trial;
           trial.rank = IndependentRank(tables, truth).estimate();

@@ -2,7 +2,7 @@
 //
 // A scenario is one parameterized Monte-Carlo evaluation of the unified
 // recovery pipeline: victim setup, statistics capture (real or sampled from
-// the exact law), a LikelihoodSource, and the rank / RecoveryEngine success
+// the exact law), likelihood tables, and the rank / RecoveryEngine success
 // criteria — run trial-parallel on src/sim/runner.h under its determinism
 // contract, so every outcome is bit-exact for any worker count. The registry
 // names concrete parameterizations (cookie length x charset x gap budget,

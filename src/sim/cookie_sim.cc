@@ -69,8 +69,8 @@ CookieSimResult RunCookieTrial(const CookieSimContext& context,
     b = alphabet[rng.Below(alphabet.size())];
   }
 
-  SampledCookieLikelihoodSource source(context, truth, ciphertexts, rng);
-  const auto transitions = source.Tables();
+  const auto transitions =
+      SampleCookieTransitions(context, truth, ciphertexts, rng);
   const auto bracket =
       MarkovRank(transitions, options.m1, options.m_last, truth, alphabet);
   const Bytes best = MarkovBest(transitions, options.m1, options.m_last,

@@ -4,9 +4,10 @@
 // counts, combined Fluhrer-McGrew + multi-gap ABSAB transition tables, and
 // the Markov rank DP standing in for the Algorithm 2 candidate list.
 //
-// Promoted to library code from the former bench-local implementation so the
-// Fig. 10 bench, the https_cookie example, and the tests all drive one
-// pipeline. Trials run on src/sim/runner.h under its determinism contract:
+// The Fig. 10 bench, the https_cookie example, the cookie scenarios and the
+// tests all draw their tables from SampleCookieTransitions; a caller that
+// brute-forces them passes the tables to RecoveryEngine::RecoverDouble
+// itself. Trials run on src/sim/runner.h under its determinism contract:
 // aggregates are bit-exact for any worker count (docs/sim.md).
 #ifndef SRC_SIM_COOKIE_SIM_H_
 #define SRC_SIM_COOKIE_SIM_H_
@@ -18,7 +19,6 @@
 #include "src/biases/fluhrer_mcgrew.h"
 #include "src/common/rng.h"
 #include "src/core/candidates.h"
-#include "src/recovery/likelihood_source.h"
 
 namespace rc4b::sim {
 
@@ -83,31 +83,6 @@ class CookieSimContext {
 DoubleByteTables SampleCookieTransitions(const CookieSimContext& context,
                                          std::span<const uint8_t> cookie,
                                          uint64_t ciphertexts, Xoshiro256& rng);
-
-// LikelihoodSource adapter over the sampled-capture path: each Tables() call
-// draws one fresh set of paper-scale combined FM + ABSAB transition tables
-// for `cookie` from the attached generator. The context, cookie bytes and
-// generator must outlive the source.
-class SampledCookieLikelihoodSource
-    : public recovery::DoubleByteLikelihoodSource {
- public:
-  SampledCookieLikelihoodSource(const CookieSimContext& context,
-                                std::span<const uint8_t> cookie,
-                                uint64_t ciphertexts, Xoshiro256& rng)
-      : context_(&context), cookie_(cookie), ciphertexts_(ciphertexts),
-        rng_(&rng) {}
-
-  size_t inner_length() const override { return cookie_.size(); }
-  DoubleByteTables Tables() override {
-    return SampleCookieTransitions(*context_, cookie_, ciphertexts_, *rng_);
-  }
-
- private:
-  const CookieSimContext* context_;
-  std::span<const uint8_t> cookie_;
-  uint64_t ciphertexts_;
-  Xoshiro256* rng_;
-};
 
 struct CookieSimResult {
   double truth_rank = 0.0;          // Markov rank DP estimate of the truth

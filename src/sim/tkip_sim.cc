@@ -6,7 +6,6 @@
 
 #include "src/core/rank.h"
 #include "src/net/packet.h"
-#include "src/recovery/likelihood_source.h"
 #include "src/sim/runner.h"
 #include "src/tkip/attack.h"
 
@@ -69,7 +68,6 @@ std::vector<TkipSimPoint> RunTkipTrial(const TkipTscModel& model,
   const uint64_t initial_tsc = rng() & 0xffffffff;
   TrailerFrameSource source(model, options.oracle_model, peer, msdu, trailer,
                             initial_tsc, rng());
-  recovery::TkipTscLikelihoodSource likelihoods(stats, model);
 
   std::vector<TkipSimPoint> points;
   uint64_t sent = 0;
@@ -80,7 +78,7 @@ std::vector<TkipSimPoint> RunTkipTrial(const TkipTscModel& model,
       (void)accepted;
       ++sent;
     }
-    const auto tables = likelihoods.Tables();
+    const auto tables = TkipTrailerLikelihoods(stats, model);
     const auto bracket = IndependentRank(tables, trailer);
 
     TkipSimPoint point;

@@ -112,9 +112,10 @@ IoStatus WriteGridFile(const std::string& path, const GridMeta& meta,
                        std::span<const uint64_t> cells);
 
 // WriteGridFile with crash durability (fsync file before the rename, fsync
-// the parent directory after it). Checkpoints and final shard grids use
-// this: a host crash right after the call must never resurrect the previous
-// file, or a resumed worker would trust progress the disk no longer holds.
+// the parent directory after it). Checkpoints, final shard grids and the
+// merged output use this: a host crash right after the call must never
+// resurrect the previous file, or a resumed worker would trust progress the
+// disk no longer holds.
 IoStatus WriteGridFileDurable(const std::string& path, const GridMeta& meta,
                               std::span<const uint64_t> cells);
 

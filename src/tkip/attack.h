@@ -11,10 +11,10 @@
 //      the CRC of the known MSDU plus candidate MIC (Sect. 5.3).
 //   3. Michael key recovery from the decrypted MIC (invertible Michael).
 //
-// Steps 1-2 are instances of the unified recovery pipeline: step 1 is the
-// TkipTscLikelihoodSource adapter and step 2 runs on the RecoveryEngine
-// with the CRC relation as its verification predicate (docs/recovery.md);
-// this module keeps the TKIP-specific glue and the Michael inversion.
+// Steps 1-2 are instances of the unified recovery pipeline: step 1 is
+// TkipTrailerLikelihoods and step 2 runs on the RecoveryEngine with the CRC
+// relation as its verification predicate (docs/recovery.md); this module
+// keeps the TKIP-specific glue and the Michael inversion.
 #ifndef SRC_TKIP_ATTACK_H_
 #define SRC_TKIP_ATTACK_H_
 

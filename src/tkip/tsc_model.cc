@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "src/common/io.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/likelihood.h"
@@ -79,48 +78,6 @@ double TkipTscModel::RmsRelativeDeviation() const {
     sum += q * q;
   }
   return std::sqrt(sum / static_cast<double>(log_p_.size()));
-}
-
-namespace {
-constexpr uint64_t kModelMagic = 0x52433454534331ULL;  // "RC4TSC1"
-}  // namespace
-
-IoStatus TkipTscModel::Save(const std::string& path) const {
-  BinaryWriter writer(path);
-  writer.WriteU64(kModelMagic);
-  writer.WriteU64(first_position_);
-  writer.WriteU64(last_position_);
-  writer.WriteU64(keys_per_class_);
-  writer.WriteDoubles(log_p_);
-  return writer.Commit();
-}
-
-IoStatus TkipTscModel::Load(const std::string& path) {
-  BinaryReader reader(path);
-  const uint64_t magic = reader.ReadU64();
-  if (reader.ok() && magic != kModelMagic) {
-    return IoStatus::Fail(path + ": not a TkipTscModel file (bad magic)");
-  }
-  const uint64_t first = reader.ReadU64();
-  const uint64_t last = reader.ReadU64();
-  const uint64_t keys = reader.ReadU64();
-  if (!reader.ok()) {
-    return reader.status();
-  }
-  if (first != first_position_ || last != last_position_) {
-    return IoStatus::Fail(path + ": position range [" + std::to_string(first) +
-                          ", " + std::to_string(last) +
-                          "] does not match this model's [" +
-                          std::to_string(first_position_) + ", " +
-                          std::to_string(last_position_) + "]");
-  }
-  std::vector<double> loaded(log_p_.size());
-  if (!reader.ReadDoubles(loaded)) {
-    return reader.status();
-  }
-  log_p_ = std::move(loaded);
-  keys_per_class_ = keys;
-  return IoStatus::Ok();
 }
 
 void TkipTscModel::SetRow(uint8_t tsc1, size_t pos,

@@ -9,18 +9,16 @@
 // the first *two* key bytes (K0 = TSC1, K1 = (TSC1|0x20) & 0x7f) and thus
 // carries the dominant key-structure bias — and marginalize over TSC0 by
 // sampling it uniformly. This shrinks the model from 65536 to 256 classes so
-// it regenerates in minutes; `keys_per_class` scales fidelity, `SetRow`
-// admits externally trained (including full per-(TSC0, TSC1)) distributions,
-// and Save/Load persist expensive models across runs.
+// it regenerates in minutes; `keys_per_class` scales fidelity, and `SetRow`
+// admits externally trained (including full per-(TSC0, TSC1)) distributions.
 #ifndef SRC_TKIP_TSC_MODEL_H_
 #define SRC_TKIP_TSC_MODEL_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "src/common/bytes.h"
-#include "src/common/io.h"
 
 namespace rc4b {
 
@@ -69,12 +67,6 @@ class TkipTscModel {
 
   // RMS relative deviation from uniform across all cells.
   double RmsRelativeDeviation() const;
-
-  // Binary persistence, so expensive models can be generated once and reused
-  // across bench runs. Save lands atomically (write-rename); Load fails with
-  // a path-qualified message on a position-range or format mismatch.
-  IoStatus Save(const std::string& path) const;
-  IoStatus Load(const std::string& path);
 
  private:
   size_t first_position_;

@@ -6,7 +6,6 @@
 #include "src/biases/fluhrer_mcgrew.h"
 #include "src/biases/mantin.h"
 #include "src/core/likelihood.h"
-#include "src/recovery/engine.h"
 
 namespace rc4b {
 
@@ -113,26 +112,6 @@ DoubleByteTables CookieTransitionTables(const CookieCaptureStats& stats,
     CombineInPlace(tables[t], stats.AbsabScores(t));
   }
   return tables;
-}
-
-CookieBruteForceResult BruteForceCookie(
-    const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
-    std::span<const uint8_t> alphabet, size_t max_candidates,
-    const std::function<bool(const Bytes&)>& try_cookie) {
-  // The unified recovery loop (src/recovery/engine.h) with the server oracle
-  // as its verification predicate.
-  recovery::RecoveryOptions options;
-  options.max_candidates = max_candidates;
-  const recovery::RecoveryEngine engine(std::move(options));
-  const auto recovered = engine.RecoverDouble(
-      transitions, recovery::PairBoundary{m1, m_last}, alphabet, try_cookie);
-  CookieBruteForceResult result;
-  result.success = recovered.found;
-  result.attempts = recovered.candidates_tried;
-  if (recovered.found) {
-    result.cookie = recovered.plaintext;
-  }
-  return result;
 }
 
 std::vector<uint8_t> CookieAlphabetHex() {

@@ -4,15 +4,14 @@
 // cookie candidate list with Algorithm 2 restricted to the cookie character
 // set (Sect. 6.2), and brute-force the list against the server.
 //
-// The statistics-to-tables step is exposed to the unified recovery pipeline
-// as the CapturedCookieLikelihoodSource adapter, and BruteForceCookie runs
-// on the RecoveryEngine with the server oracle as its verification
-// predicate (docs/recovery.md).
+// This module stops at the transition tables (CookieTransitionTables). The
+// candidate list and the brute force are RecoveryEngine::RecoverDouble
+// (src/recovery/engine.h), called with the server oracle as its
+// verification predicate (docs/recovery.md).
 #ifndef SRC_TLS_COOKIE_ATTACK_H_
 #define SRC_TLS_COOKIE_ATTACK_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -86,20 +85,6 @@ class CookieCaptureStats {
 // byte ahead of it sits at 1-based PRGA position == keystream_alignment).
 DoubleByteTables CookieTransitionTables(const CookieCaptureStats& stats,
                                         size_t keystream_alignment);
-
-struct CookieBruteForceResult {
-  bool success = false;
-  uint64_t attempts = 0;     // candidates tested against the server
-  Bytes cookie;              // recovered cookie when success
-};
-
-// Generates up to `max_candidates` cookies in decreasing likelihood and
-// tests each with `try_cookie` (e.g. an HTTPS request to the real server;
-// here a simulated check). m1/m_last are the known bytes around the cookie.
-CookieBruteForceResult BruteForceCookie(
-    const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
-    std::span<const uint8_t> alphabet, size_t max_candidates,
-    const std::function<bool(const Bytes&)>& try_cookie);
 
 // The RFC 6265 cookie-value alphabet restriction the paper exploits
 // (Sect. 6.2): base64-style values. Returns the 64-character set used by our

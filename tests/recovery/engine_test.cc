@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/core/likelihood.h"
 
 namespace rc4b::recovery {
 namespace {
@@ -139,43 +138,6 @@ TEST(RecoveryEngineTest, DoubleRejectsDegenerateTables) {
                            [](const Bytes&) { return true; });
   EXPECT_FALSE(result.found);
   EXPECT_EQ(result.candidates_tried, 0u);
-}
-
-#ifdef NDEBUG
-TEST(RecoveryEngineTest, SingleByteModelSourceRejectsShapeMismatch) {
-  // Release-build hardening: a counts/model shape mismatch must disable the
-  // source (empty tables) instead of reading out of bounds.
-  SingleByteModelSource mismatched(
-      std::vector<std::vector<uint64_t>>(4, std::vector<uint64_t>(256)),
-      std::vector<std::vector<double>>(3, std::vector<double>(256)));
-  EXPECT_EQ(mismatched.length(), 0u);
-  EXPECT_TRUE(mismatched.Tables().empty());
-
-  SingleByteModelSource short_row(
-      std::vector<std::vector<uint64_t>>(1, std::vector<uint64_t>(255)),
-      std::vector<std::vector<double>>(1, std::vector<double>(256)));
-  EXPECT_TRUE(short_row.Tables().empty());
-}
-#endif
-
-TEST(RecoveryEngineTest, SingleByteModelSourceMatchesFormula12) {
-  // The adapter's tables must equal SingleByteLogLikelihood row by row.
-  Xoshiro256 rng(31);
-  std::vector<std::vector<uint64_t>> counts(2, std::vector<uint64_t>(256));
-  std::vector<std::vector<double>> log_model(2, std::vector<double>(256));
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 256; ++c) {
-      counts[r][c] = rng.Below(100);
-      log_model[r][c] = -rng.UnitDouble();
-    }
-  }
-  SingleByteModelSource source(counts, log_model);
-  ASSERT_EQ(source.length(), 2u);
-  const auto tables = source.Tables();
-  ASSERT_EQ(tables.size(), 2u);
-  for (size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(tables[r], SingleByteLogLikelihood(counts[r], log_model[r]));
-  }
 }
 
 }  // namespace

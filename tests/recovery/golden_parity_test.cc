@@ -1,16 +1,17 @@
 // Golden-parity pins for the recovery refactor: the TKIP and cookie attacks
 // rewired onto the RecoveryEngine must produce bit-identical candidate
 // orderings and recovery outcomes to the pre-refactor implementations. The
-// reference functions below are verbatim copies of the hand-rolled loops
-// that src/tkip/attack.cc and src/tls/cookie_attack.cc contained before the
-// refactor.
+// reference functions below are copies of the hand-rolled loops that
+// src/tkip/attack.cc and src/tls/cookie_attack.cc contained before the
+// refactor; the cookie loop reports through RecoveryResult, the type the
+// engine returns.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "src/core/candidates.h"
 #include "src/crypto/crc32.h"
-#include "src/recovery/likelihood_source.h"
+#include "src/recovery/engine.h"
 #include "src/sim/cookie_sim.h"
 #include "src/sim/runner.h"
 #include "src/sim/tkip_sim.h"
@@ -59,18 +60,18 @@ TkipAttackResult ReferenceRecoverTkipTrailer(
   return result;
 }
 
-CookieBruteForceResult ReferenceBruteForceCookie(
+recovery::RecoveryResult ReferenceRecoverCookie(
     const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
     std::span<const uint8_t> alphabet, size_t max_candidates,
     const std::function<bool(const Bytes&)>& try_cookie) {
-  CookieBruteForceResult result;
+  recovery::RecoveryResult result;
   const auto candidates = GenerateCandidatesDouble(transitions, m1, m_last,
                                                    max_candidates, alphabet);
   for (const Candidate& candidate : candidates) {
-    ++result.attempts;
+    ++result.candidates_tried;
     if (try_cookie(candidate.plaintext)) {
-      result.success = true;
-      result.cookie = candidate.plaintext;
+      result.found = true;
+      result.plaintext = candidate.plaintext;
       return result;
     }
   }
@@ -116,8 +117,7 @@ void CaptureTkipCase(const TkipTscModel& model, uint64_t seed, uint64_t frames,
   for (uint64_t i = 0; i < frames; ++i) {
     ASSERT_TRUE(stats.AddFrame(source.NextFrame()));
   }
-  recovery::TkipTscLikelihoodSource likelihoods(stats, model);
-  out->tables = likelihoods.Tables();
+  out->tables = TkipTrailerLikelihoods(stats, model);
 }
 
 void ExpectEqualResults(const TkipAttackResult& a, const TkipAttackResult& b) {
@@ -186,31 +186,34 @@ TEST(GoldenParityTest, CookieBruteForceMatchesPreRefactor) {
   const auto transitions = sim::SampleCookieTransitions(
       context, truth, /*ciphertexts=*/uint64_t{1} << 34, rng);
 
+  const recovery::PairBoundary boundary{options.m1, options.m_last};
+  const auto recover = [&](size_t budget,
+                           const recovery::VerifyPredicate& verify) {
+    return recovery::RecoveryEngine(recovery::RecoveryOptions{budget, {}})
+        .RecoverDouble(transitions, boundary, alphabet, verify);
+  };
   const auto oracle = [&](const Bytes& candidate) { return candidate == truth; };
   for (size_t budget : {size_t{1}, size_t{64}, size_t{1} << 14}) {
-    const auto reference = ReferenceBruteForceCookie(
+    const auto reference = ReferenceRecoverCookie(
         transitions, options.m1, options.m_last, alphabet, budget, oracle);
-    const auto refactored = BruteForceCookie(transitions, options.m1,
-                                             options.m_last, alphabet, budget,
-                                             oracle);
-    EXPECT_EQ(refactored.success, reference.success) << "budget " << budget;
-    EXPECT_EQ(refactored.attempts, reference.attempts) << "budget " << budget;
-    EXPECT_EQ(refactored.cookie, reference.cookie) << "budget " << budget;
+    const auto refactored = recover(budget, oracle);
+    EXPECT_EQ(refactored.found, reference.found) << "budget " << budget;
+    EXPECT_EQ(refactored.candidates_tried, reference.candidates_tried)
+        << "budget " << budget;
+    EXPECT_EQ(refactored.plaintext, reference.plaintext) << "budget " << budget;
   }
   // At 2^34 ciphertexts the combined signal recovers the 4-char cookie.
-  const auto result = BruteForceCookie(transitions, options.m1, options.m_last,
-                                       alphabet, 1 << 14, oracle);
-  EXPECT_TRUE(result.success);
-  EXPECT_EQ(result.cookie, truth);
+  const auto result = recover(1 << 14, oracle);
+  EXPECT_TRUE(result.found);
+  EXPECT_EQ(result.plaintext, truth);
 
   // Candidate-ordering pin: the attempts consumed by a never-matching oracle
   // must equal the materialized Algorithm 2 list walked in order.
   std::vector<Bytes> visited;
-  BruteForceCookie(transitions, options.m1, options.m_last, alphabet, 64,
-                   [&](const Bytes& candidate) {
-                     visited.push_back(candidate);
-                     return false;
-                   });
+  recover(64, [&](const Bytes& candidate) {
+    visited.push_back(candidate);
+    return false;
+  });
   const auto expected = GenerateCandidatesDouble(transitions, options.m1,
                                                  options.m_last, 64, alphabet);
   ASSERT_EQ(visited.size(), expected.size());

@@ -7,6 +7,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/likelihood.h"
+#include "src/recovery/engine.h"
 #include "src/tls/session.h"
 
 namespace rc4b {
@@ -155,21 +156,24 @@ TEST(BruteForceTest, FindsCookieWhenOracleMatches) {
   }
   transitions[8][static_cast<size_t>(truth[7]) * 256 + m_last] = 5.0;
 
-  const auto result = BruteForceCookie(
-      transitions, m1, m_last, alphabet, 100,
+  const recovery::RecoveryEngine engine(recovery::RecoveryOptions{100, {}});
+  const auto result = engine.RecoverDouble(
+      transitions, recovery::PairBoundary{m1, m_last}, alphabet,
       [&](const Bytes& candidate) { return candidate == truth; });
-  ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.cookie, truth);
-  EXPECT_EQ(result.attempts, 1u);
+  ASSERT_TRUE(result.found);
+  EXPECT_EQ(result.plaintext, truth);
+  EXPECT_EQ(result.candidates_tried, 1u);
 }
 
 TEST(BruteForceTest, ReportsFailureAfterBudget) {
   const auto alphabet = CookieAlphabet64();
   DoubleByteTables transitions(5, std::vector<double>(65536, 0.0));
-  const auto result = BruteForceCookie(transitions, '=', ';', alphabet, 50,
-                                       [](const Bytes&) { return false; });
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.attempts, 50u);
+  const recovery::RecoveryEngine engine(recovery::RecoveryOptions{50, {}});
+  const auto result =
+      engine.RecoverDouble(transitions, recovery::PairBoundary{'=', ';'},
+                           alphabet, [](const Bytes&) { return false; });
+  EXPECT_FALSE(result.found);
+  EXPECT_EQ(result.candidates_tried, 50u);
 }
 
 // End-to-end mechanics at reduced scale: a real TLS victim session, real

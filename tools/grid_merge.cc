@@ -93,7 +93,8 @@ int Run(int argc, char** argv) {
     std::printf("merge is bit-identical to %s\n", reference.c_str());
   }
 
-  if (IoStatus status = store::WriteGridFile(out, merged.meta, merged.cells);
+  if (IoStatus status =
+          store::WriteGridFileDurable(out, merged.meta, merged.cells);
       !status.ok()) {
     std::fprintf(stderr, "grid_merge: %s\n", status.message().c_str());
     return ExitCodeForStatus(status);
