@@ -123,14 +123,16 @@ void BM_HmacSha1(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha1);
 
+// Arg = buffer bytes: 8 (TKIP's per-candidate Crc32Update), 1500 (a frame),
+// 1 MiB (grid-file sections).
 void BM_Crc32(benchmark::State& state) {
-  const Bytes data = RandomBytes(1500, 7);
+  const Bytes data = RandomBytes(state.range(0), 7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Crc32(data));
   }
-  state.SetBytesProcessed(state.iterations() * 1500);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32);
+BENCHMARK(BM_Crc32)->Arg(8)->Arg(1500)->Arg(1 << 20);
 
 void BM_MichaelMic(benchmark::State& state) {
   const MichaelKey key{0x12345678, 0x9abcdef0};

@@ -1,8 +1,8 @@
 // Shared helpers for the experiment benchmarks (one binary per paper
-// table/figure; see DESIGN.md's experiment index and EXPERIMENTS.md for
-// recorded results). These harnesses print self-describing tables to stdout;
-// scale knobs default to laptop-friendly values and every binary accepts
-// --keys / --sims style flags to approach paper-scale fidelity.
+// table/figure; docs/engine.md and docs/sim.md list them under "Benches").
+// These harnesses print self-describing tables to stdout; scale knobs default
+// to laptop-friendly values and every binary accepts --keys / --sims style
+// flags to approach paper-scale fidelity.
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // --- Phase 1: attacker's keystream model --------------------------------
   // The honest per-TSC model for the trailer positions needs ~2^36 keys (the
-  // paper spent 10 CPU-years on this step; DESIGN.md "Substitutions"). The
+  // paper spent 10 CPU-years on this step; see src/tkip/tsc_model.h). The
   // demo trains a small model and, in the default perfect-model mode, runs
   // the victim's trailer keystream from exactly that distribution so the
   // whole attack pipeline can be demonstrated end-to-end in seconds.

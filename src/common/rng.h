@@ -1,10 +1,10 @@
 // Deterministic, fast pseudo-random generators used by simulations and tests.
 //
-// All experiment harnesses take explicit seeds so that every figure/table in
-// EXPERIMENTS.md is reproducible bit-for-bit. RC4 *keys* for dataset
-// generation are instead derived with AES-CTR (see src/rc4/keygen.h), matching
-// the paper's setup; this xoshiro generator drives everything else
-// (plaintext choices, simulation noise, synthetic count sampling).
+// All experiment harnesses take explicit seeds so that every figure/table
+// bench is reproducible bit-for-bit. RC4 *keys* for dataset generation are
+// instead derived with AES-CTR (see src/rc4/keygen.h), matching the paper's
+// setup; this xoshiro generator drives everything else (plaintext choices,
+// simulation noise, synthetic count sampling).
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 

@@ -1,7 +1,7 @@
 // Minimal fork-join thread pool used by dataset generation and the benchmark
 // harnesses. The paper distributed keystream-statistics generation over ~80
 // machines; our substitute parallelizes the same worker/merge structure over
-// local cores (see DESIGN.md "Substitutions").
+// local cores (see README.md, "The keystream-statistics engine").
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 

@@ -7,7 +7,7 @@
 // sampling distribution — a Poissonized multinomial, with per-cell Poisson
 // draws switching to a normal approximation for large means. Tests validate
 // the sampler against exhaustive real-RC4 simulation at small |C|
-// (see DESIGN.md "Substitutions").
+// (tests/core/synthetic_test.cc).
 #ifndef SRC_CORE_SYNTHETIC_H_
 #define SRC_CORE_SYNTHETIC_H_
 

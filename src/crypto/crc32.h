@@ -1,7 +1,12 @@
-// CRC-32 (IEEE 802.3 polynomial, reflected) — the TKIP Integrity Check Value.
+// CRC-32 (IEEE 802.3 polynomial, reflected) — the TKIP Integrity Check Value
+// and the per-section checksum of every grid file (src/store/grid_file.h).
 //
 // The attack in Sect. 5.3 prunes plaintext candidates by recomputing this CRC
-// over the decrypted packet and comparing it to the decrypted ICV field.
+// over the decrypted packet and comparing it to the decrypted ICV field. The
+// store checksums every shard, checkpoint and merged grid it writes or opens.
+//
+// Slicing-by-8 (Kounavis & Berry, 2005): eight 256-entry tables, one 8-byte
+// step per iteration read with LoadLe32, and a byte-wise tail through t[0].
 #ifndef SRC_CRYPTO_CRC32_H_
 #define SRC_CRYPTO_CRC32_H_
 

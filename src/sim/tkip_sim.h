@@ -38,7 +38,7 @@ struct TkipSimOptions {
   // true: perfect-model limit (victim trailer keystream drawn from the
   // attacker's model; see ModelVictimSource). false: real TKIP key mixing +
   // RC4 — honest, but the scaled-down attacker model then needs
-  // --keys-per-tsc near 2^28 per class to carry signal (DESIGN.md).
+  // --keys-per-tsc near 2^28 per class to carry signal.
   bool oracle_model = true;
 };
 

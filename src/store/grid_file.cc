@@ -156,11 +156,11 @@ IoStatus ParseGridImage(std::span<const uint8_t> bytes, const std::string& path,
                           std::to_string(cells_offset + cells_bytes) + ")");
   }
   const auto meta_section = bytes.subspan(kHeaderBytes, meta_bytes);
-  if (SectionCrc(meta_section) != static_cast<uint32_t>(meta_crc)) {
+  if (SectionCrc(meta_section) != meta_crc) {
     return IoStatus::Fail(path + ": meta section checksum mismatch");
   }
   const auto cells_section = bytes.subspan(cells_offset, cells_bytes);
-  if (SectionCrc(cells_section) != static_cast<uint32_t>(cells_crc)) {
+  if (SectionCrc(cells_section) != cells_crc) {
     return IoStatus::Fail(path + ": cells section checksum mismatch");
   }
   if (IoStatus status = ParseMeta(meta_section, path, meta); !status.ok()) {

@@ -54,7 +54,7 @@ class TkipCaptureStats {
 // at the trailer positions are drawn from a TkipTscModel's per-TSC1
 // distributions instead of running the full cipher. Useful because an honest
 // attacker model at the trailer positions needs ~2^36 keys (the paper's
-// cluster scale; see DESIGN.md) — this mode evaluates the attack machinery
+// cluster scale) — this mode evaluates the attack machinery
 // in the perfect-information limit at any --keys-per-tsc budget, while
 // TkipInjectionSource below provides the fully faithful path.
 class ModelVictimSource {

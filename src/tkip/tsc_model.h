@@ -5,7 +5,7 @@
 // depends strongly on the TSC. The paper regenerated such per-(TSC0, TSC1)
 // statistics with 2^32 keys per TSC pair (10 CPU-years).
 //
-// Substitution (see DESIGN.md): we condition on TSC1 only — TSC1 determines
+// Substitution: we condition on TSC1 only — TSC1 determines
 // the first *two* key bytes (K0 = TSC1, K1 = (TSC1|0x20) & 0x7f) and thus
 // carries the dominant key-structure bias — and marginalize over TSC0 by
 // sampling it uniformly. This shrinks the model from 65536 to 256 classes so
@@ -62,7 +62,7 @@ class TkipTscModel {
   // Used by the perfect-model simulation harness to calibrate the model's
   // effective bias magnitude to the measured real per-TSC1 signal (a model
   // estimated from K keys/class carries sampling noise of RMS 16/sqrt(K)
-  // relative, which would otherwise act as inflated bias; see DESIGN.md).
+  // relative, which would otherwise act as inflated bias).
   void ShrinkTowardUniform(double factor);
 
   // RMS relative deviation from uniform across all cells.

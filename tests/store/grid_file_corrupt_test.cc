@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -125,6 +127,37 @@ TEST(GridFileCorruptTest, OversizedPairCountKeepsSizeDiagnostic) {
                                          /*cells_offset=*/136,
                                          /*cells_bytes=*/0, /*file_size=*/136);
   ExpectRejected(TempPath("big-pairs.grid"), contents, "pair");
+}
+
+// Each CRC is stored as a u64 header word whose upper 32 bits are zero. The
+// reader used to truncate the word before comparing, so garbage in bytes
+// 28-31 (meta CRC) or 52-55 (cells CRC) opened as a valid grid.
+TEST(GridFileCorruptTest, NonzeroUpperCrcBitsAreRejected) {
+  GridMeta meta;
+  meta.kind = GridKind::kSingleByte;
+  meta.seed = 11;
+  meta.key_end = 512;
+  meta.rows = 2;
+  const std::vector<uint64_t> cells(meta.cell_count(), 7);
+  const std::string path = TempPath("upper-crc.grid");
+  ASSERT_TRUE(WriteGridFile(path, meta, cells).ok());
+  std::string valid;
+  {
+    std::ifstream in(path, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  GridFileView view;
+  ASSERT_TRUE(view.Open(path).ok());
+
+  for (const size_t word : {size_t{3}, size_t{6}}) {  // meta CRC, cells CRC
+    SCOPED_TRACE(word);
+    std::string contents = valid;
+    uint64_t crc = 0;
+    std::memcpy(&crc, contents.data() + word * sizeof(crc), sizeof(crc));
+    crc |= uint64_t{0x5a} << 40;
+    std::memcpy(contents.data() + word * sizeof(crc), &crc, sizeof(crc));
+    ExpectRejected(path, contents, "checksum mismatch");
+  }
 }
 
 }  // namespace

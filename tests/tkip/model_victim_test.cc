@@ -117,7 +117,7 @@ TEST(TscModelTest, Position1ReflectsKeyStructure) {
   // The first keystream byte is strongly TSC1-dependent (K0 = TSC1); two
   // independently seeded models must agree on the *structure* at position 1
   // far beyond noise (the measured inter-seed correlation is ~0.83 at this
-  // scale; see DESIGN.md).
+  // scale).
   TkipTscModel a(1, 1), b(1, 1);
   a.Generate(1 << 17, 100, 0);
   b.Generate(1 << 17, 200, 0);
