@@ -91,16 +91,18 @@ BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 8)->Arg(256)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 16)->Arg(256);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 32)->Arg(256);
 
+// Arg is the read size: one RC4 key (16 B), one lane group of keys (128 B),
+// and a long run (4096 B).
 void BM_AesCtr(benchmark::State& state) {
   Aes128Ctr ctr(RandomBytes(16, 3));
-  Bytes buffer(4096);
+  Bytes buffer(state.range(0));
   for (auto _ : state) {
     ctr.Generate(buffer);
     benchmark::DoNotOptimize(buffer.data());
   }
-  state.SetBytesProcessed(state.iterations() * 4096);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AesCtr);
+BENCHMARK(BM_AesCtr)->Arg(16)->Arg(128)->Arg(4096);
 
 void BM_Sha1(benchmark::State& state) {
   const Bytes data = RandomBytes(512, 4);

@@ -1,6 +1,13 @@
 #include "src/crypto/aes128.h"
 
-#include <cassert>
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace rc4b {
 
@@ -56,7 +63,65 @@ uint32_t SubWord(uint32_t w, const std::array<uint8_t, 256>& s) {
 
 uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
+// Multiplication by x (i.e. by 2) in GF(2^8).
+uint8_t XTime(uint8_t a) {
+  return static_cast<uint8_t>((a << 1) ^ ((a & 0x80) != 0 ? 0x1b : 0));
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// A counter block: bytes 0-7 are zero, bytes 8-15 hold the big-endian counter.
+__attribute__((target("aes"))) inline __m128i CounterBlock(uint64_t counter) {
+  return _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(counter)), 0);
+}
+
+// The AES-NI path: eight counter blocks in flight per round, so the
+// aesenc latency of one block hides behind the other seven (Gueron, "Intel
+// Advanced Encryption Standard (AES) New Instructions Set", 2010), then one
+// block at a time for the last blocks % 8. `round_keys` is the 176-byte
+// byte-order schedule, which is what aesenc expects.
+__attribute__((target("aes"))) void EncryptCounterBlocksAesNi(
+    const uint8_t* round_keys, uint64_t counter, size_t blocks, uint8_t* out) {
+  __m128i rk[11];
+  for (size_t r = 0; r < 11; ++r) {
+    rk[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys + 16 * r));
+  }
+  size_t b = 0;
+  for (; b + 8 <= blocks; b += 8) {
+    __m128i x[8];
+    for (int k = 0; k < 8; ++k) {
+      x[k] = _mm_xor_si128(CounterBlock(counter + b + k), rk[0]);
+    }
+    for (int r = 1; r < 10; ++r) {
+      for (int k = 0; k < 8; ++k) {
+        x[k] = _mm_aesenc_si128(x[k], rk[r]);
+      }
+    }
+    for (int k = 0; k < 8; ++k) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * (b + k)),
+                       _mm_aesenclast_si128(x[k], rk[10]));
+    }
+  }
+  for (; b < blocks; ++b) {
+    __m128i x = _mm_xor_si128(CounterBlock(counter + b), rk[0]);
+    for (int r = 1; r < 10; ++r) {
+      x = _mm_aesenc_si128(x, rk[r]);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * b),
+                     _mm_aesenclast_si128(x, rk[10]));
+  }
+}
+#endif
+
 }  // namespace
+
+bool Aes128::UsesAesNi() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool kAesNi = __builtin_cpu_supports("aes") != 0;
+  return kAesNi;
+#else
+  return false;
+#endif
+}
 
 const std::array<uint8_t, 256>& Aes128::SBox() {
   static const std::array<uint8_t, 256> kSBox = BuildSBox();
@@ -64,19 +129,27 @@ const std::array<uint8_t, 256>& Aes128::SBox() {
 }
 
 Aes128::Aes128(std::span<const uint8_t> key) {
-  assert(key.size() == kKeySize);
+  if (key.size() != kKeySize) {
+    std::fprintf(stderr, "Aes128: got a %zu-byte key, AES-128 needs %zu bytes\n",
+                 key.size(), kKeySize);
+    std::abort();
+  }
   const auto& sbox = SBox();
+  std::array<uint32_t, 44> w;
   for (int i = 0; i < 4; ++i) {
-    round_keys_[i] = LoadBe32(key.data() + 4 * i);
+    w[i] = LoadBe32(key.data() + 4 * i);
   }
   uint8_t rcon = 1;
   for (int i = 4; i < 44; ++i) {
-    uint32_t temp = round_keys_[i - 1];
+    uint32_t temp = w[i - 1];
     if (i % 4 == 0) {
       temp = SubWord(RotWord(temp), sbox) ^ (static_cast<uint32_t>(rcon) << 24);
       rcon = GfMul(rcon, 2);
     }
-    round_keys_[i] = round_keys_[i - 4] ^ temp;
+    w[i] = w[i - 4] ^ temp;
+  }
+  for (size_t i = 0; i < 44; ++i) {
+    StoreBe32(w[i], round_keys_.data() + 4 * i);
   }
 }
 
@@ -85,13 +158,9 @@ void Aes128::EncryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize])
   uint8_t state[16];
   std::memcpy(state, in, 16);
 
-  auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const uint32_t rk = round_keys_[4 * round + c];
-      state[4 * c + 0] ^= static_cast<uint8_t>(rk >> 24);
-      state[4 * c + 1] ^= static_cast<uint8_t>(rk >> 16);
-      state[4 * c + 2] ^= static_cast<uint8_t>(rk >> 8);
-      state[4 * c + 3] ^= static_cast<uint8_t>(rk);
+  auto add_round_key = [&](size_t round) {
+    for (size_t i = 0; i < 16; ++i) {
+      state[i] ^= round_keys_[16 * round + i];
     }
   };
   auto sub_bytes = [&] {
@@ -118,15 +187,17 @@ void Aes128::EncryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize])
     for (int c = 0; c < 4; ++c) {
       uint8_t* col = state + 4 * c;
       const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      col[0] = static_cast<uint8_t>(GfMul(a0, 2) ^ GfMul(a1, 3) ^ a2 ^ a3);
-      col[1] = static_cast<uint8_t>(a0 ^ GfMul(a1, 2) ^ GfMul(a2, 3) ^ a3);
-      col[2] = static_cast<uint8_t>(a0 ^ a1 ^ GfMul(a2, 2) ^ GfMul(a3, 3));
-      col[3] = static_cast<uint8_t>(GfMul(a0, 3) ^ a1 ^ a2 ^ GfMul(a3, 2));
+      // 2a is XTime(a) and 3a is XTime(a) ^ a.
+      const uint8_t d0 = XTime(a0), d1 = XTime(a1), d2 = XTime(a2), d3 = XTime(a3);
+      col[0] = static_cast<uint8_t>(d0 ^ (d1 ^ a1) ^ a2 ^ a3);
+      col[1] = static_cast<uint8_t>(a0 ^ d1 ^ (d2 ^ a2) ^ a3);
+      col[2] = static_cast<uint8_t>(a0 ^ a1 ^ d2 ^ (d3 ^ a3));
+      col[3] = static_cast<uint8_t>((d0 ^ a0) ^ a1 ^ a2 ^ d3);
     }
   };
 
   add_round_key(0);
-  for (int round = 1; round <= 9; ++round) {
+  for (size_t round = 1; round <= 9; ++round) {
     sub_bytes();
     shift_rows();
     mix_columns();
@@ -138,20 +209,39 @@ void Aes128::EncryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize])
   std::memcpy(out, state, 16);
 }
 
+void Aes128::EncryptCounterBlocks(uint64_t counter, size_t blocks, uint8_t* out) const {
+#if defined(__x86_64__) || defined(__i386__)
+  if (UsesAesNi()) {
+    EncryptCounterBlocksAesNi(round_keys_.data(), counter, blocks, out);
+    return;
+  }
+#endif
+  uint8_t counter_block[kBlockSize] = {};
+  for (size_t b = 0; b < blocks; ++b) {
+    StoreBe64(counter + b, counter_block + 8);
+    EncryptBlock(counter_block, out + kBlockSize * b);
+  }
+}
+
 void Aes128Ctr::Generate(std::span<uint8_t> out) {
-  size_t i = 0;
-  while (i < out.size()) {
-    if (buffered_ == 0) {
-      uint8_t counter_block[Aes128::kBlockSize] = {};
-      StoreBe64(counter_, counter_block + 8);
-      aes_.EncryptBlock(counter_block, buffer_.data());
-      ++counter_;
-      buffered_ = Aes128::kBlockSize;
-    }
-    const size_t take = std::min(out.size() - i, buffered_);
-    std::memcpy(out.data() + i, buffer_.data() + (Aes128::kBlockSize - buffered_), take);
-    buffered_ -= take;
-    i += take;
+  // The tail of the last block first, then whole blocks straight into
+  // `out`, then a final partial block through buffer_.
+  const size_t drained = std::min(out.size(), buffered_);
+  if (drained != 0) {
+    std::memcpy(out.data(), buffer_.data() + (Aes128::kBlockSize - buffered_), drained);
+    buffered_ -= drained;
+  }
+  uint8_t* next = out.data() + drained;
+  const size_t rest = out.size() - drained;
+  const size_t blocks = rest / Aes128::kBlockSize;
+  aes_.EncryptCounterBlocks(counter_, blocks, next);
+  counter_ += blocks;
+  const size_t tail = rest % Aes128::kBlockSize;
+  if (tail != 0) {
+    aes_.EncryptCounterBlocks(counter_, 1, buffer_.data());
+    ++counter_;
+    std::memcpy(next + blocks * Aes128::kBlockSize, buffer_.data(), tail);
+    buffered_ = Aes128::kBlockSize - tail;
   }
 }
 

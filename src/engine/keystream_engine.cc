@@ -20,15 +20,6 @@ namespace {
 
 constexpr size_t kKeySize = Rc4KeyGenerator::kRc4KeySize;
 
-// Draws `lanes` keys, in keygen order, into one flat buffer for a kernel's
-// lockstep Init().
-void GatherKeys(Rc4KeyGenerator& keygen, size_t lanes, uint8_t* out) {
-  for (size_t m = 0; m < lanes; ++m) {
-    const auto key = keygen.NextKey();
-    std::copy(key.begin(), key.end(), out + m * kKeySize);
-  }
-}
-
 size_t ResolveBatchKeys(size_t requested) {
   return requested != 0 ? requested : 256;
 }
@@ -60,8 +51,9 @@ void FillRowsWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
   const size_t lanes = kernel.Width();
   size_t r = 0;
   for (; r + lanes <= rows; r += lanes) {
-    GatherKeys(keygen, lanes, keybuf);
-    kernel.Init(std::span<const uint8_t>(keybuf, lanes * kKeySize), kKeySize);
+    const std::span<uint8_t> keys(keybuf, lanes * kKeySize);
+    keygen.NextKeys(keys);
+    kernel.Init(keys, kKeySize);
     if (drop != 0) {
       kernel.Skip(drop);
     }
@@ -130,8 +122,9 @@ void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
   const size_t stride = plan.chunk + plan.lookahead;
   uint64_t k = 0;
   for (; k + lanes <= count; k += lanes) {
-    GatherKeys(keygen, lanes, keybuf);
-    kernel.Init(std::span<const uint8_t>(keybuf, lanes * kKeySize), kKeySize);
+    const std::span<uint8_t> keys(keybuf, lanes * kKeySize);
+    keygen.NextKeys(keys);
+    kernel.Init(keys, kKeySize);
     if (plan.drop != 0) {
       kernel.Skip(plan.drop);
     }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <optional>
 
+#include "src/crypto/aes128.h"
 #include "src/rc4/rc4_multi.h"
 
 namespace rc4b {
@@ -72,6 +73,9 @@ std::string CpuFeatureString() {
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512vbmi")) {
     AppendFeature(features, "avx512f,avx512bw,avx512vbmi");
+  }
+  if (Aes128::UsesAesNi()) {
+    AppendFeature(features, "aes");
   }
 #elif defined(__aarch64__) || defined(__ARM_NEON)
   features = "neon";

@@ -25,8 +25,9 @@ struct KernelDesc {
 };
 
 // CPU features of the running machine, comma-separated (e.g.
-// "ssse3,avx2"); "baseline" when none. Benchmark reports record it so their
-// numbers carry their hardware context.
+// "ssse3,avx2,aes"); "baseline" when none. "aes" means AES-CTR key
+// generation takes the AES-NI path (Aes128::UsesAesNi). Benchmark reports
+// record it so their numbers carry their hardware context.
 std::string CpuFeatureString();
 
 // A dispatch decision: the kernel at a lane count.

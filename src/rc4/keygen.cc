@@ -1,5 +1,8 @@
 #include "src/rc4/keygen.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "src/common/rng.h"
 
 namespace rc4b {
@@ -22,6 +25,15 @@ std::array<uint8_t, Rc4KeyGenerator::kRc4KeySize> Rc4KeyGenerator::NextKey() {
   std::array<uint8_t, kRc4KeySize> key;
   ctr_.Generate(key);
   return key;
+}
+
+void Rc4KeyGenerator::NextKeys(std::span<uint8_t> out) {
+  if (out.size() % kRc4KeySize != 0) {
+    std::fprintf(stderr, "Rc4KeyGenerator: %zu bytes are not whole %zu-byte keys\n",
+                 out.size(), kRc4KeySize);
+    std::abort();
+  }
+  ctr_.Generate(out);
 }
 
 void Rc4KeyGenerator::Seek(uint64_t key_index) { ctr_.Seek(key_index); }

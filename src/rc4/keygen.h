@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "src/crypto/aes128.h"
 
@@ -23,6 +24,12 @@ class Rc4KeyGenerator {
 
   // Returns the next 128-bit RC4 key from the AES-CTR stream.
   std::array<uint8_t, kRc4KeySize> NextKey();
+
+  // Fills `out` with the next out.size() / kRc4KeySize keys, back to back:
+  // the same keys as that many NextKey() calls, from one pipelined AES-CTR
+  // call. out.size() must be a multiple of kRc4KeySize; anything else
+  // prints a diagnostic and aborts.
+  void NextKeys(std::span<uint8_t> out);
 
   // Jumps ahead so that the next key is key number `key_index` of this
   // worker's stream (each key consumes exactly one AES block).

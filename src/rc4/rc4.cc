@@ -1,12 +1,16 @@
 #include "src/rc4/rc4.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 
 namespace rc4b {
 
 Rc4::Rc4(std::span<const uint8_t> key) {
-  assert(!key.empty() && key.size() <= 256);
+  if (key.empty() || key.size() > 256) {
+    std::fprintf(stderr, "Rc4: got a %zu-byte key, RC4 takes 1..256 bytes\n", key.size());
+    std::abort();
+  }
   std::iota(s_.begin(), s_.end(), 0);
   uint8_t j = 0;
   for (int i = 0; i < 256; ++i) {

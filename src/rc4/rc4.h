@@ -17,6 +17,7 @@ namespace rc4b {
 class Rc4 {
  public:
   // Runs the KSA over `key` (1..256 bytes; the paper uses 16-byte keys).
+  // Any other size prints a diagnostic and aborts, in every build type.
   explicit Rc4(std::span<const uint8_t> key);
 
   // Returns the next keystream byte Z_{r+1} (positions are 1-based in the

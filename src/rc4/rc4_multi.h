@@ -19,6 +19,8 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <span>
 
@@ -34,10 +36,16 @@ class Rc4MultiStream {
 
   // Runs M interleaved KSAs. `keys` holds the M keys back to back, each
   // exactly `key_size` (1..256) bytes: stream m's key is
-  // keys[m * key_size, (m + 1) * key_size).
+  // keys[m * key_size, (m + 1) * key_size). Any other layout prints a
+  // diagnostic and aborts, in every build type.
   Rc4MultiStream(std::span<const uint8_t> keys, size_t key_size) {
-    assert(key_size >= 1 && key_size <= 256);
-    assert(keys.size() == M * key_size);
+    if (key_size < 1 || key_size > 256 || keys.size() != M * key_size) {
+      std::fprintf(stderr,
+                   "Rc4MultiStream: got %zu key bytes for %zu keys of %zu bytes "
+                   "(RC4 keys are 1..256 bytes)\n",
+                   keys.size(), M, key_size);
+      std::abort();
+    }
     for (size_t m = 0; m < M; ++m) {
       std::iota(s_[m].begin(), s_[m].end(), uint8_t{0});
     }

@@ -1,11 +1,29 @@
 #include "src/crypto/aes128.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
 
 namespace rc4b {
 namespace {
+
+// The CTR stream from `first_block` on, one EncryptBlock per hand-built
+// counter block: eight zero bytes, then the big-endian 64-bit counter.
+Bytes CtrOracle(const Aes128& aes, uint64_t first_block, size_t blocks) {
+  Bytes out(blocks * Aes128::kBlockSize);
+  for (size_t b = 0; b < blocks; ++b) {
+    uint8_t counter_block[Aes128::kBlockSize] = {};
+    StoreBe64(first_block + b, counter_block + 8);
+    aes.EncryptBlock(counter_block, out.data() + b * Aes128::kBlockSize);
+  }
+  return out;
+}
+
+const Bytes kCtrKey = FromHex("2b7e151628aed2a6abf7158809cf4f3c");
 
 // FIPS-197 Appendix C.1 known-answer vector.
 TEST(Aes128Test, Fips197Vector) {
@@ -98,6 +116,71 @@ TEST(Aes128CtrTest, DistinctBlocksDiffer) {
   ctr.Generate(b1);
   ctr.Generate(b2);
   EXPECT_NE(b1, b2);
+}
+
+// Reads of irregular sizes hit every split of the bulk path: a drain of the
+// buffered partial block, whole 8-block groups, a 1..7-block tail and a new
+// partial block. Odd offsets make every store unaligned.
+TEST(Aes128CtrTest, IrregularChunksMatchBlockOracle) {
+  const size_t kBlocks = size_t{1} << 16;
+  const Bytes want = CtrOracle(Aes128(kCtrKey), 0, kBlocks);
+  Aes128Ctr ctr(kCtrKey);
+  Bytes got;
+  got.reserve(want.size());
+  const size_t kChunks[] = {1, 15, 16, 17, 127, 128, 129, 4096};
+  for (size_t i = 0; got.size() < want.size(); ++i) {
+    Bytes piece(std::min(kChunks[i % std::size(kChunks)], want.size() - got.size()));
+    ctr.Generate(piece);
+    got.insert(got.end(), piece.begin(), piece.end());
+  }
+  EXPECT_EQ(got, want);
+}
+
+// A Seek that lands inside an 8-block group, read as one bulk call and as
+// single blocks.
+TEST(Aes128CtrTest, SeekIntoLaneGroupMatchesBlockOracle) {
+  const Aes128 aes(kCtrKey);
+  for (uint64_t start : {uint64_t{5}, (uint64_t{1} << 32) - 3}) {
+    const Bytes want = CtrOracle(aes, start, 29);
+    Aes128Ctr bulk(kCtrKey);
+    bulk.Seek(start);
+    Bytes got(want.size());
+    bulk.Generate(got);
+    EXPECT_EQ(got, want) << "start " << start;
+
+    Aes128Ctr single(kCtrKey);
+    single.Seek(start);
+    for (size_t b = 0; b < 29; ++b) {
+      Bytes block(Aes128::kBlockSize);
+      single.Generate(block);
+      EXPECT_EQ(block, Bytes(want.begin() + 16 * b, want.begin() + 16 * (b + 1)))
+          << "start " << start << " block " << b;
+    }
+  }
+}
+
+// The 64-bit counter wraps to 0 mid-group, exactly as StoreBe64 does.
+TEST(Aes128CtrTest, CounterWrapMatchesBlockOracle) {
+  const uint64_t start = UINT64_MAX - 4;
+  const Bytes want = CtrOracle(Aes128(kCtrKey), start, 16);
+  Aes128Ctr ctr(kCtrKey);
+  ctr.Seek(start);
+  Bytes got(want.size());
+  ctr.Generate(got);
+  EXPECT_EQ(got, want);
+
+  Aes128Ctr from_zero(kCtrKey);
+  Bytes zero_blocks(11 * Aes128::kBlockSize);
+  from_zero.Generate(zero_blocks);
+  EXPECT_EQ(Bytes(got.begin() + 5 * 16, got.end()), zero_blocks);
+}
+
+TEST(Aes128DeathTest, WrongKeySizeAborts) {
+  const Bytes short_key(15);
+  const Bytes long_key(17);
+  EXPECT_DEATH(Aes128{short_key}, "Aes128: got a 15-byte key");
+  EXPECT_DEATH(Aes128{long_key}, "Aes128: got a 17-byte key");
+  EXPECT_DEATH(Aes128Ctr{Bytes()}, "Aes128: got a 0-byte key");
 }
 
 }  // namespace

@@ -69,5 +69,31 @@ TEST(KeygenTest, KeyBytesLookUniform) {
   }
 }
 
+// NextKeys hands out the same keys as repeated NextKey, for one lane group
+// and for a group plus a tail, starting from an odd Seek.
+TEST(KeygenTest, NextKeysMatchesNextKey) {
+  for (size_t count : {size_t{8}, size_t{13}}) {
+    Rc4KeyGenerator one(5);
+    one.Seek(1001);
+    Bytes want;
+    for (size_t k = 0; k < count; ++k) {
+      const auto key = one.NextKey();
+      want.insert(want.end(), key.begin(), key.end());
+    }
+    Rc4KeyGenerator bulk(5);
+    bulk.Seek(1001);
+    Bytes got(count * Rc4KeyGenerator::kRc4KeySize);
+    bulk.NextKeys(got);
+    EXPECT_EQ(got, want) << count << " keys";
+    EXPECT_EQ(bulk.NextKey(), one.NextKey()) << "after " << count << " keys";
+  }
+}
+
+TEST(KeygenDeathTest, NextKeysRejectsPartialKey) {
+  Rc4KeyGenerator gen(1);
+  Bytes out(20);
+  EXPECT_DEATH(gen.NextKeys(out), "20 bytes are not whole 16-byte keys");
+}
+
 }  // namespace
 }  // namespace rc4b

@@ -15,6 +15,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/crypto/aes128.h"
 #include "src/engine/keystream_engine.h"
 #include "src/rc4/kernel_registry.h"
 #include "src/rc4/rc4.h"
@@ -131,6 +132,17 @@ TEST(Rc4MultiStreamTest, StridedStoresStayInsideRows) {
   }
 }
 
+TEST(Rc4MultiStreamDeathTest, KeyBufferOfWrongSizeAborts) {
+  const Bytes seven_keys(7 * 16);
+  const Bytes nine_keys(9 * 16);
+  EXPECT_DEATH((Rc4MultiStream<8>(seven_keys, 16)),
+               "Rc4MultiStream: got 112 key bytes for 8 keys of 16 bytes");
+  EXPECT_DEATH((Rc4MultiStream<8>(nine_keys, 16)),
+               "Rc4MultiStream: got 144 key bytes for 8 keys of 16 bytes");
+  EXPECT_DEATH((Rc4MultiStream<8>(Bytes(), 0)),
+               "Rc4MultiStream: got 0 key bytes for 8 keys of 0 bytes");
+}
+
 // ------------------------------------------------------------------------
 // Lane-kernel dispatch (src/rc4/kernel_registry.h). The last test sets
 // process-wide environment variables; gtest runs this binary's tests
@@ -147,6 +159,14 @@ class DispatchEnvGuard {
     ::unsetenv("RC4B_AUTOTUNE_CACHE");
   }
 };
+
+TEST(CpuFeatureStringTest, NamesAesExactlyWhenKeygenUsesAesNi) {
+  std::string features(",");
+  features += CpuFeatureString();
+  features += ',';
+  EXPECT_EQ(features.find(",aes,") != std::string::npos, Aes128::UsesAesNi())
+      << features;
+}
 
 TEST(ResolveKernelChoiceTest, InterleaveOneIsTheScalarOracle) {
   for (const std::string_view name : {"", "auto", "scalar"}) {

@@ -138,5 +138,12 @@ TEST(Rc4Test, MantinShamirZ2Bias) {
   EXPECT_LT(rate, 0.0095);
 }
 
+TEST(Rc4DeathTest, KeySizeOutsideOneTo256Aborts) {
+  const Bytes empty;
+  const Bytes too_long(257);
+  EXPECT_DEATH(Rc4{empty}, "Rc4: got a 0-byte key");
+  EXPECT_DEATH(Rc4{too_long}, "Rc4: got a 257-byte key");
+}
+
 }  // namespace
 }  // namespace rc4b
