@@ -7,9 +7,12 @@
 // spanning m1 || cookie || mL with the multi-gap ABSAB differential
 // estimates against the injected known plaintext (Sect. 6); ciphertext
 // statistics are sampled from their exact Poissonized law; the
-// "rank <= 2^23" criterion is evaluated with the Markov rank DP instead of
-// materializing the Algorithm 2 list. Trials are sharded on the src/sim/
-// runner, so every printed row is bit-exact for any --workers value.
+// "rank <= 2^23" criterion is evaluated with the Markov rank DP. Algorithm 2
+// itself streams lazily and can walk 2^23 candidates, but every trial whose
+// cookie lies beyond the budget would cost a full 2^23 traversal (seconds
+// each), while the DP prices any rank at the same cost. Trials are sharded on
+// the src/sim/ runner, so every printed row is bit-exact for any --workers
+// value.
 #include <cmath>
 #include <cstdio>
 

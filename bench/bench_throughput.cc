@@ -20,6 +20,7 @@
 #include "src/rc4/rc4_multi.h"
 #include "src/tkip/frame.h"
 #include "src/tkip/key_mixing.h"
+#include "src/tls/cookie_attack.h"
 #include "src/tls/record.h"
 
 namespace rc4b {
@@ -265,6 +266,29 @@ void BM_LazyCandidateEnumeration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LazyCandidateEnumeration);
+
+// Algorithm 2 streamed lazily, as the cookie brute force draws it: one
+// 16-character cookie over the 64-symbol alphabet, the first N candidates
+// from a fresh enumerator per iteration (N = the argument).
+void BM_Algorithm2Stream(benchmark::State& state) {
+  Xoshiro256 rng(19);
+  DoubleByteTables transitions(17, std::vector<double>(65536));
+  for (auto& table : transitions) {
+    for (auto& v : table) {
+      v = -rng.UnitDouble() * 4.0;
+    }
+  }
+  const std::vector<uint8_t> alphabet = CookieAlphabet64();
+  const auto n = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    LazyDoubleCandidateEnumerator enumerator(transitions, '=', ';', alphabet);
+    for (uint64_t i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(enumerator.Next());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Algorithm2Stream)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 
 }  // namespace
 }  // namespace rc4b

@@ -7,9 +7,10 @@
 //     with known plaintext (Listing 3 layout).
 //   * The attacker observes TLS records only, accumulates Fluhrer-McGrew
 //     pair counts and multi-gap ABSAB differential scores, builds combined
-//     double-byte likelihoods, and generates cookie candidates with
+//     double-byte likelihoods, and streams cookie candidates lazily from
 //     Algorithm 2 restricted to the cookie alphabet.
-//   * Candidates are brute-forced against the (simulated) server.
+//   * Each candidate is tried against the (simulated) server as it is
+//     drawn, up to the paper's 2^23 attempts.
 //
 // Real captures at default scale carry far too little signal (the paper
 // needs 9 * 2^27 requests), so the default accelerates the *ciphertext*
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
               "true: honest TLS capture at --requests (slow); false: sample "
               "the captured statistics at paper scale (fast)")
       .Define("alignment", "48", "cookie keystream position mod 256")
-      .Define("attempts", "0x20000", "brute-force budget (2^17 for the demo)")
+      .Define("attempts", "0x800000", "brute-force budget (paper: 2^23)")
       .Define("max-gap", "128", "largest ABSAB gap")
       .Define("seed", "99", "simulation seed");
   if (!flags.Parse(argc, argv)) {

@@ -4,13 +4,15 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 
 namespace rc4b {
 
 namespace {
 
-// Backpointer entry shared by both list algorithms.
+// Backpointer entry of Algorithm 1's rounds.
 struct Entry {
   double score;
   uint8_t value;      // byte appended at this round
@@ -148,99 +150,126 @@ Candidate LazyCandidateEnumerator::Next() {
   return c;
 }
 
+LazyDoubleCandidateEnumerator::LazyDoubleCandidateEnumerator(
+    const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
+    std::span<const uint8_t> alphabet) {
+  if (transitions.size() < 2) {
+    std::fprintf(stderr,
+                 "Algorithm 2: got %zu transition tables, needs at least 2 "
+                 "(one unknown byte)\n",
+                 transitions.size());
+    std::abort();
+  }
+  for (size_t t = 0; t < transitions.size(); ++t) {
+    if (transitions[t].size() != 65536) {
+      std::fprintf(stderr,
+                   "Algorithm 2: transition table %zu has %zu entries, needs 65536\n",
+                   t, transitions[t].size());
+      std::abort();
+    }
+  }
+  alphabet_ = alphabet.empty() ? FullAlphabet()
+                               : std::vector<uint8_t>(alphabet.begin(), alphabet.end());
+  std::array<bool, 256> seen{};
+  for (const uint8_t value : alphabet_) {
+    if (seen[value]) {
+      std::fprintf(stderr, "Algorithm 2: the alphabet repeats byte 0x%02x\n", value);
+      std::abort();
+    }
+    seen[value] = true;
+  }
+
+  inner_ = transitions.size() - 1;
+  const size_t a = alphabet_.size();
+  pair_.resize((inner_ - 1) * a * a);
+  for (size_t t = 1; t < inner_; ++t) {
+    for (size_t v = 0; v < a; ++v) {
+      for (size_t u = 0; u < a; ++u) {
+        pair_[((t - 1) * a + v) * a + u] =
+            transitions[t][static_cast<size_t>(alphabet_[u]) * 256 + alphabet_[v]];
+      }
+    }
+  }
+  last_.resize(a);
+  for (size_t v = 0; v < a; ++v) {
+    last_[v] = transitions[inner_][static_cast<size_t>(alphabet_[v]) * 256 + m_last];
+  }
+
+  // Transition 0 (m1 -> first unknown byte) gives each list (0, v) its one
+  // entry; later lists are seeded when first asked for an entry.
+  lists_.resize(inner_ * a);
+  for (uint32_t v = 0; v < a; ++v) {
+    List& list = ListAt(0, v);
+    list.entries.push_back(
+        ListEntry{transitions[0][static_cast<size_t>(m1) * 256 + alphabet_[v]], 0, 0});
+  }
+  for (uint32_t v = 0; v < a; ++v) {
+    Reach(inner_ - 1, v, 0);
+    heap_.push(HeapNode{ListAt(inner_ - 1, v).entries[0].score + last_[v], 0, v});
+  }
+}
+
+bool LazyDoubleCandidateEnumerator::Reach(size_t t, uint32_t value_index,
+                                          uint32_t index) {
+  // `list` stays valid: lists_ never resizes, and the recursion below only
+  // grows the entry vectors of lists at t - 1, which are re-indexed after
+  // each call. A list at t >= 1 pops its first entry as soon as it is
+  // seeded, so an empty list is one not seeded yet.
+  List& list = ListAt(t, value_index);
+  if (list.entries.empty()) {
+    for (uint32_t u = 0; u < alphabet_.size(); ++u) {
+      Reach(t - 1, u, 0);
+      list.heap.push(HeapNode{ListAt(t - 1, u).entries[0].score + Pair(t, u, value_index),
+                              0, u});
+    }
+  }
+  while (list.entries.size() <= index && !list.heap.empty()) {
+    const HeapNode top = list.heap.top();
+    list.heap.pop();
+    list.entries.push_back(ListEntry{top.score, top.stream, top.prev_index});
+    const uint32_t next = top.prev_index + 1;
+    if (Reach(t - 1, top.stream, next)) {
+      list.heap.push(HeapNode{ListAt(t - 1, top.stream).entries[next].score +
+                                  Pair(t, top.stream, value_index),
+                              next, top.stream});
+    }
+  }
+  return index < list.entries.size();
+}
+
+Candidate LazyDoubleCandidateEnumerator::Next() {
+  assert(!heap_.empty());
+  const HeapNode top = heap_.top();
+  heap_.pop();
+
+  Candidate c;
+  c.log_likelihood = top.score;
+  c.plaintext.resize(inner_);
+  uint32_t value_index = top.stream;
+  uint32_t list_index = top.prev_index;
+  for (size_t t = inner_; t-- > 0;) {
+    c.plaintext[t] = alphabet_[value_index];
+    const ListEntry& e = ListAt(t, value_index).entries[list_index];
+    value_index = e.prev_value_index;
+    list_index = e.prev_list_index;
+  }
+
+  const uint32_t next = top.prev_index + 1;
+  if (Reach(inner_ - 1, top.stream, next)) {
+    heap_.push(HeapNode{ListAt(inner_ - 1, top.stream).entries[next].score +
+                            last_[top.stream],
+                        next, top.stream});
+  }
+  return c;
+}
+
 std::vector<Candidate> GenerateCandidatesDouble(const DoubleByteTables& transitions,
                                                 uint8_t m1, uint8_t m_last, size_t n,
                                                 std::span<const uint8_t> alphabet) {
-  const std::vector<uint8_t> full =
-      alphabet.empty() ? FullAlphabet() : std::vector<uint8_t>();
-  const std::span<const uint8_t> a = alphabet.empty() ? std::span<const uint8_t>(full)
-                                                      : alphabet;
-  const size_t inner = transitions.size() - 1;  // number of unknown bytes
-  assert(inner >= 1);
-
-  // lists[t][value_index] = N-best entries for prefixes ending in a[value_index]
-  // after consuming transition t. Entries point into lists[t-1].
-  // An entry's `prev` packs (previous value index, index in its list).
-  struct ListEntry {
-    double score;
-    uint32_t prev_value_index;
-    uint32_t prev_list_index;
-  };
-  std::vector<std::vector<std::vector<ListEntry>>> lists(inner);
-
-  // Transition 0: m1 -> first unknown byte.
-  assert(transitions[0].size() == 65536);
-  lists[0].resize(a.size());
-  for (size_t vi = 0; vi < a.size(); ++vi) {
-    const double score = transitions[0][static_cast<size_t>(m1) * 256 + a[vi]];
-    lists[0][vi].push_back(ListEntry{score, 0, 0});
-  }
-
-  // Transitions between unknown bytes.
-  for (size_t t = 1; t < inner; ++t) {
-    assert(transitions[t].size() == 65536);
-    lists[t].resize(a.size());
-    for (size_t vi = 0; vi < a.size(); ++vi) {
-      const uint8_t mu2 = a[vi];
-      // Merge |A| sorted streams: stream ui yields
-      // lists[t-1][ui][j].score + log lambda_t(a[ui], mu2) for j = 0, 1, ...
-      std::priority_queue<StreamHeapNode> heap;
-      for (uint32_t ui = 0; ui < a.size(); ++ui) {
-        if (!lists[t - 1][ui].empty()) {
-          const double trans =
-              transitions[t][static_cast<size_t>(a[ui]) * 256 + mu2];
-          heap.push(StreamHeapNode{lists[t - 1][ui][0].score + trans, 0, ui});
-        }
-      }
-      auto& out_list = lists[t][vi];
-      while (out_list.size() < n && !heap.empty()) {
-        const StreamHeapNode top = heap.top();
-        heap.pop();
-        out_list.push_back(ListEntry{top.score, top.stream, top.prev_index});
-        const auto& src = lists[t - 1][top.stream];
-        if (top.prev_index + 1 < src.size()) {
-          const double trans =
-              transitions[t][static_cast<size_t>(a[top.stream]) * 256 + mu2];
-          heap.push(StreamHeapNode{src[top.prev_index + 1].score + trans,
-                                   top.prev_index + 1, top.stream});
-        }
-      }
-    }
-  }
-
-  // Final transition: last unknown byte -> m_last. Merge into one list.
-  const auto& final_table = transitions[inner];
-  assert(final_table.size() == 65536);
-  std::priority_queue<StreamHeapNode> heap;
-  for (uint32_t vi = 0; vi < a.size(); ++vi) {
-    if (!lists[inner - 1][vi].empty()) {
-      const double trans = final_table[static_cast<size_t>(a[vi]) * 256 + m_last];
-      heap.push(StreamHeapNode{lists[inner - 1][vi][0].score + trans, 0, vi});
-    }
-  }
+  LazyDoubleCandidateEnumerator enumerator(transitions, m1, m_last, alphabet);
   std::vector<Candidate> out;
-  while (out.size() < n && !heap.empty()) {
-    const StreamHeapNode top = heap.top();
-    heap.pop();
-    Candidate c;
-    c.log_likelihood = top.score;
-    c.plaintext.resize(inner);
-    uint32_t value_index = top.stream;
-    uint32_t list_index = top.prev_index;
-    for (size_t t = inner; t-- > 0;) {
-      c.plaintext[t] = a[value_index];
-      const ListEntry& e = lists[t][value_index][list_index];
-      value_index = e.prev_value_index;
-      list_index = e.prev_list_index;
-    }
-    out.push_back(std::move(c));
-    const auto& src = lists[inner - 1][top.stream];
-    if (top.prev_index + 1 < src.size()) {
-      const double trans =
-          final_table[static_cast<size_t>(a[top.stream]) * 256 + m_last];
-      heap.push(StreamHeapNode{src[top.prev_index + 1].score + trans,
-                               top.prev_index + 1, top.stream});
-    }
+  while (out.size() < n && !enumerator.Exhausted()) {
+    out.push_back(enumerator.Next());
   }
   return out;
 }

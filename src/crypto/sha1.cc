@@ -54,6 +54,9 @@ void Sha1::ProcessBlock(const uint8_t block[kBlockSize]) {
 }
 
 void Sha1::Update(std::span<const uint8_t> data) {
+  if (data.empty()) {
+    return;  // an empty span may carry a null data(), which memcpy rejects
+  }
   total_bytes_ += data.size();
   size_t i = 0;
   if (buffered_ > 0) {

@@ -39,13 +39,14 @@ RecoveryResult RecoveryEngine::RecoverDouble(
   if (transitions.size() < 2) {
     return result;  // Algorithm 2 needs at least one unknown byte
   }
-  const auto candidates =
-      GenerateCandidatesDouble(transitions, boundary.m1, boundary.m_last,
-                               options_.max_candidates, alphabet);
-  for (const Candidate& candidate : candidates) {
-    ++result.candidates_tried;
+  LazyDoubleCandidateEnumerator enumerator(transitions, boundary.m1,
+                                           boundary.m_last, alphabet);
+  for (uint64_t n = 0;
+       n < options_.max_candidates && !enumerator.Exhausted(); ++n) {
+    const Candidate candidate = enumerator.Next();
+    result.candidates_tried = n + 1;
     if (verify(candidate.plaintext)) {
-      return Accept(candidate, result.candidates_tried);
+      return Accept(candidate, n + 1);
     }
   }
   return result;

@@ -6,7 +6,8 @@
 //      the statistics: TkipTrailerLikelihoods, CookieTransitionTables,
 //      sim::SampleCookieTransitions, SingleByteLogLikelihood per row),
 //   3. enumerate plaintext candidates in decreasing likelihood (Algorithm 1
-//      lazily for single-byte tables, Algorithm 2 for double-byte tables),
+//      for single-byte tables, Algorithm 2 for double-byte tables, both
+//      streamed lazily),
 //   4. test each candidate against a verification predicate — the CRC-32
 //      relation between MIC and ICV for TKIP (Sect. 5.3), the server oracle
 //      for HTTPS cookies (Sect. 6.2) — until one is accepted or the
@@ -72,9 +73,11 @@ class RecoveryEngine {
   RecoveryResult RecoverSingle(const SingleByteTables& tables,
                                const VerifyPredicate& verify) const;
 
-  // Double-byte pipeline: Algorithm 2's N-best list (optionally restricted
-  // to `alphabet`), brute-forced against the predicate in order. Fewer than
-  // two transition tables yield an empty result.
+  // Double-byte pipeline: streams Algorithm 2 lazily
+  // (LazyDoubleCandidateEnumerator, optionally restricted to `alphabet`),
+  // testing each candidate against the predicate, so only the candidates up
+  // to the accepted one are ever built. Fewer than two transition tables
+  // yield an empty result.
   RecoveryResult RecoverDouble(const DoubleByteTables& transitions,
                                const PairBoundary& boundary,
                                std::span<const uint8_t> alphabet,

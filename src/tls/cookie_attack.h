@@ -1,13 +1,14 @@
 // The HTTPS secure-cookie attack (Sect. 6): collect ciphertext statistics
 // over many encrypted requests, build double-byte likelihoods combining
-// Fluhrer–McGrew and multi-gap ABSAB estimates (Sect. 4.2/4.3), generate a
-// cookie candidate list with Algorithm 2 restricted to the cookie character
-// set (Sect. 6.2), and brute-force the list against the server.
+// Fluhrer–McGrew and multi-gap ABSAB estimates (Sect. 4.2/4.3), draw cookie
+// candidates from Algorithm 2 restricted to the cookie character set
+// (Sect. 6.2), and try each against the server.
 //
 // This module stops at the transition tables (CookieTransitionTables). The
-// candidate list and the brute force are RecoveryEngine::RecoverDouble
-// (src/recovery/engine.h), called with the server oracle as its
-// verification predicate (docs/recovery.md).
+// candidates and the brute force are RecoveryEngine::RecoverDouble
+// (src/recovery/engine.h), which streams Algorithm 2 lazily and stops at the
+// first cookie the server oracle, its verification predicate, accepts
+// (docs/recovery.md).
 #ifndef SRC_TLS_COOKIE_ATTACK_H_
 #define SRC_TLS_COOKIE_ATTACK_H_
 

@@ -1,13 +1,18 @@
 // Parameterized property sweeps over candidate-list generation: Algorithm 1,
 // the lazy enumerator, and Algorithm 2 must agree with exhaustive N-best for
-// a range of list sizes, lengths and alphabet sizes.
+// a range of list sizes, lengths and alphabet sizes, and the lazy Algorithm 2
+// stream must equal the eager N-best list candidate for candidate.
 #include <algorithm>
+#include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/core/candidates.h"
+#include "tests/core/eager_candidates_double.h"
 
 namespace rc4b {
 namespace {
@@ -125,6 +130,99 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Algorithm2Sweep,
                                            Algo2Param{4, 4, 50},
                                            Algo2Param{5, 3, 243},
                                            Algo2Param{6, 2, 64}));
+
+struct OracleParam {
+  size_t inner;
+  size_t alphabet;
+  size_t n;
+  bool ties;  // 4-valued integer tables: exact score ties everywhere
+};
+
+void PrintTo(const OracleParam& p, std::ostream* os) {
+  *os << "inner=" << p.inner << " |A|=" << p.alphabet << " n=" << p.n
+      << (p.ties ? " ties" : " random");
+}
+
+class LazyAlgorithm2Oracle : public ::testing::TestWithParam<OracleParam> {};
+
+// The stream against the eager list it replaced: same plaintexts, bitwise
+// equal scores, ties in the same order; every shorter eager list is a prefix
+// of the stream; a space smaller than n is drawn out exactly.
+TEST_P(LazyAlgorithm2Oracle, StreamEqualsEagerList) {
+  const OracleParam p = GetParam();
+  Xoshiro256 rng(p.inner * 1009 + p.alphabet * 31 + p.n + (p.ties ? 7 : 0));
+  // A random subset of byte values in random order, as the cookie alphabet
+  // is neither contiguous nor sorted by likelihood.
+  std::vector<uint8_t> values(256);
+  std::iota(values.begin(), values.end(), 0);
+  for (size_t i = 255; i > 0; --i) {
+    std::swap(values[i], values[rng.Below(i + 1)]);
+  }
+  const std::vector<uint8_t> alphabet(values.begin(), values.begin() + p.alphabet);
+  DoubleByteTables transitions(p.inner + 1, std::vector<double>(65536));
+  for (auto& table : transitions) {
+    for (auto& v : table) {
+      v = p.ties ? -static_cast<double>(rng.Below(4)) : -rng.UnitDouble() * 4.0;
+    }
+  }
+  const uint8_t m1 = static_cast<uint8_t>(rng.Below(256));
+  const uint8_t m_last = static_cast<uint8_t>(rng.Below(256));
+
+  const auto eager =
+      EagerCandidatesDouble(transitions, m1, m_last, p.n, alphabet);
+  LazyDoubleCandidateEnumerator stream(transitions, m1, m_last, alphabet);
+  std::vector<Candidate> lazy;
+  while (lazy.size() < p.n && !stream.Exhausted()) {
+    lazy.push_back(stream.Next());
+  }
+  ASSERT_EQ(lazy.size(), eager.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    ASSERT_EQ(lazy[i].plaintext, eager[i].plaintext) << "i=" << i;
+    ASSERT_EQ(lazy[i].log_likelihood, eager[i].log_likelihood) << "i=" << i;
+  }
+
+  for (const size_t prefix : {size_t{1}, p.n / 7 + 1, p.n / 2 + 3}) {
+    const auto shorter =
+        EagerCandidatesDouble(transitions, m1, m_last, prefix, alphabet);
+    ASSERT_LE(shorter.size(), lazy.size());
+    for (size_t i = 0; i < shorter.size(); ++i) {
+      ASSERT_EQ(shorter[i].plaintext, lazy[i].plaintext)
+          << "prefix=" << prefix << " i=" << i;
+    }
+  }
+
+  double space = 1.0;
+  for (size_t t = 0; t < p.inner; ++t) {
+    space *= static_cast<double>(p.alphabet);
+  }
+  if (space <= static_cast<double>(p.n)) {
+    EXPECT_EQ(lazy.size(), static_cast<size_t>(space));
+    EXPECT_TRUE(stream.Exhausted());
+    std::set<std::string> distinct;
+    for (const Candidate& c : lazy) {
+      distinct.emplace(c.plaintext.begin(), c.plaintext.end());
+    }
+    EXPECT_EQ(distinct.size(), lazy.size());
+  } else {
+    EXPECT_EQ(lazy.size(), p.n);
+    EXPECT_FALSE(stream.Exhausted());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LazyAlgorithm2Oracle,
+    ::testing::Values(OracleParam{1, 256, 256, false},      // exhausts
+                      OracleParam{1, 2, 4, true},           // exhausts
+                      OracleParam{2, 256, 1 << 10, true},
+                      OracleParam{3, 256, 1 << 10, false},
+                      OracleParam{3, 16, 1 << 15, true},    // exhausts
+                      OracleParam{4, 16, 1 << 15, false},
+                      OracleParam{12, 16, 1 << 13, false},
+                      OracleParam{15, 2, 1 << 15, true},    // exhausts exactly
+                      OracleParam{16, 2, 1 << 15, false},
+                      OracleParam{8, 64, 1 << 12, false},
+                      OracleParam{6, 64, 1 << 12, true},
+                      OracleParam{16, 64, 1 << 11, true}));
 
 }  // namespace
 }  // namespace rc4b

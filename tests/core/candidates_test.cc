@@ -256,5 +256,18 @@ TEST(Algorithm2Test, ScoresMatchPlaintextEvaluation) {
   }
 }
 
+TEST(Algorithm2DeathTest, RejectsBadInputsInEveryBuild) {
+  const std::vector<uint8_t> alphabet = {'a', 'b'};
+  EXPECT_DEATH(LazyDoubleCandidateEnumerator(RandomTransitions(1, 14), 'S', 'E', alphabet),
+               "Algorithm 2: got 1 transition tables, needs at least 2");
+  DoubleByteTables short_table = RandomTransitions(3, 15);
+  short_table[2].resize(256);
+  EXPECT_DEATH(LazyDoubleCandidateEnumerator(short_table, 'S', 'E', alphabet),
+               "Algorithm 2: transition table 2 has 256 entries, needs 65536");
+  const std::vector<uint8_t> repeated = {'a', 'b', 'a'};
+  EXPECT_DEATH(LazyDoubleCandidateEnumerator(RandomTransitions(3, 16), 'S', 'E', repeated),
+               "Algorithm 2: the alphabet repeats byte 0x61");
+}
+
 }  // namespace
 }  // namespace rc4b

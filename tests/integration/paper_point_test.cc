@@ -3,7 +3,8 @@
 // synthetic-statistics samplers so they run in seconds:
 //   * Fig. 7's combined estimator at 2^34 ciphertexts recovers a byte pair,
 //   * Fig. 10's cookie attack at 15 x 2^27 ciphertexts ranks the true cookie
-//     within the 2^23-attempt budget,
+//     within the 2^23-attempt budget, and the rank DP agrees with where the
+//     lazy Algorithm 2 stream emits the cookie,
 //   * the Fig. 8 pipeline recovers the Michael key under a perfect model.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,9 @@
 #include "src/core/likelihood.h"
 #include "src/core/rank.h"
 #include "src/core/synthetic.h"
+#include "src/recovery/engine.h"
+#include "src/sim/cookie_sim.h"
+#include "src/sim/runner.h"
 #include "src/tls/cookie_attack.h"
 
 namespace rc4b {
@@ -130,6 +134,54 @@ TEST(PaperPointTest, RankDpConsistentWithAlgorithm2Emission) {
     // Truth beyond the emitted horizon: the DP must agree it is deep.
     EXPECT_GT(bracket.upper, 3000.0);
   }
+}
+
+// The same agreement for a 16-character cookie over the 64-symbol alphabet:
+// tables sampled at 7 x 2^27 requests, just below Fig. 10's operating point,
+// so the truth lands anywhere from the top of the engine's lazy Algorithm 2
+// stream to beyond its 2^16 budget. MarkovRank floors each of the 17
+// transition scores to its quantum, so at depth its bracket is off by up to
+// about 2% (MarkovRankTest.BracketsExhaustiveRank allows the same); the
+// tolerance is that plus the +-2 of the 6-character test.
+TEST(PaperPointTest, RankDpConsistentWithLazyStreamFor16CharCookie) {
+  const sim::CookieSimContext context(sim::CookieSimOptions{});
+  const auto& options = context.options();
+  const auto& alphabet = context.alphabet();
+  const uint64_t budget = uint64_t{1} << 16;
+  int accepted = 0;
+  for (uint64_t trial = 0; trial < 8; ++trial) {
+    Xoshiro256 rng = sim::TrialRng(2016, trial);
+    Bytes truth(options.cookie_length);
+    for (auto& b : truth) {
+      b = alphabet[rng.Below(alphabet.size())];
+    }
+    const auto transitions = sim::SampleCookieTransitions(
+        context, truth, /*ciphertexts=*/uint64_t{7} << 27, rng);
+    const auto bracket =
+        MarkovRank(transitions, options.m1, options.m_last, truth, alphabet);
+    recovery::RecoveryOptions recovery_options;
+    recovery_options.max_candidates = budget;
+    recovery_options.truth = truth;
+    const auto result =
+        recovery::RecoveryEngine(std::move(recovery_options))
+            .RecoverDouble(transitions, {options.m1, options.m_last}, alphabet,
+                           [&](const Bytes& candidate) { return candidate == truth; });
+    if (result.found) {
+      ++accepted;
+      ASSERT_TRUE(result.correct) << "trial " << trial;
+      const double rank = static_cast<double>(result.candidates_tried - 1);
+      EXPECT_LE(bracket.lower, rank * 1.02 + 2) << "trial " << trial;
+      EXPECT_GE(bracket.upper + 2, rank * 0.98) << "trial " << trial;
+    } else {
+      // Not accepted within the budget: the DP must place the truth deeper.
+      EXPECT_EQ(result.candidates_tried, budget);
+      EXPECT_GE(bracket.upper + 2, static_cast<double>(budget) * 0.98)
+          << "trial " << trial;
+    }
+  }
+  // Both branches above run.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 8);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "tests/core/eager_candidates_double.h"
 
 namespace rc4b::recovery {
 namespace {
@@ -123,8 +124,9 @@ TEST(RecoveryEngineTest, DoubleTraversalMatchesAlgorithm2Ordering) {
   EXPECT_FALSE(result.found);
   EXPECT_EQ(result.candidates_tried, n);
 
-  const auto expected = GenerateCandidatesDouble(transitions, boundary.m1,
-                                                 boundary.m_last, n, alphabet);
+  // The eager Algorithm 2 list, not the stream the engine itself walks.
+  const auto expected = EagerCandidatesDouble(transitions, boundary.m1,
+                                              boundary.m_last, n, alphabet);
   ASSERT_EQ(visited.size(), expected.size());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(visited[i], expected[i].plaintext) << "candidate " << i;

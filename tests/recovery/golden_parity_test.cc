@@ -4,7 +4,8 @@
 // reference functions below are copies of the hand-rolled loops that
 // src/tkip/attack.cc and src/tls/cookie_attack.cc contained before the
 // refactor; the cookie loop reports through RecoveryResult, the type the
-// engine returns.
+// engine returns, and walks the eager Algorithm 2 list
+// (tests/core/eager_candidates_double.h) that the engine now streams.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "src/sim/tkip_sim.h"
 #include "src/tkip/attack.h"
 #include "src/tls/cookie_attack.h"
+#include "tests/core/eager_candidates_double.h"
 
 namespace rc4b {
 namespace {
@@ -65,8 +67,8 @@ recovery::RecoveryResult ReferenceRecoverCookie(
     std::span<const uint8_t> alphabet, size_t max_candidates,
     const std::function<bool(const Bytes&)>& try_cookie) {
   recovery::RecoveryResult result;
-  const auto candidates = GenerateCandidatesDouble(transitions, m1, m_last,
-                                                   max_candidates, alphabet);
+  const auto candidates = EagerCandidatesDouble(transitions, m1, m_last,
+                                                max_candidates, alphabet);
   for (const Candidate& candidate : candidates) {
     ++result.candidates_tried;
     if (try_cookie(candidate.plaintext)) {
@@ -208,14 +210,14 @@ TEST(GoldenParityTest, CookieBruteForceMatchesPreRefactor) {
   EXPECT_EQ(result.plaintext, truth);
 
   // Candidate-ordering pin: the attempts consumed by a never-matching oracle
-  // must equal the materialized Algorithm 2 list walked in order.
+  // must equal the eager, materialized Algorithm 2 list walked in order.
   std::vector<Bytes> visited;
   recover(64, [&](const Bytes& candidate) {
     visited.push_back(candidate);
     return false;
   });
-  const auto expected = GenerateCandidatesDouble(transitions, options.m1,
-                                                 options.m_last, 64, alphabet);
+  const auto expected = EagerCandidatesDouble(transitions, options.m1,
+                                              options.m_last, 64, alphabet);
   ASSERT_EQ(visited.size(), expected.size());
   for (size_t i = 0; i < visited.size(); ++i) {
     EXPECT_EQ(visited[i], expected[i].plaintext) << "candidate " << i;
