@@ -86,9 +86,9 @@ int Run(int argc, char** argv) {
           CombineInPlace(transitions[t], absab);
         }
         const double rank64 =
-            MarkovRank(transitions, m1, m_last, truth, alphabet64).estimate();
+            MarkovRank(transitions, m1, m_last, truth, alphabet64).estimate;
         const double rank256 =
-            MarkovRank(transitions, m1, m_last, truth, alphabet256).estimate();
+            MarkovRank(transitions, m1, m_last, truth, alphabet256).estimate;
         std::lock_guard<std::mutex> lock(mutex);
         wins64 += rank64 < budget ? 1 : 0;
         wins256 += rank256 < budget ? 1 : 0;

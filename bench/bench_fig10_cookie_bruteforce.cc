@@ -25,7 +25,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   const ScaleFlagSpec scale{.count_flag = "sims",
-                            .count_default = "48",
+                            .count_default = "256",
                             .count_help = "simulations per point (paper: 256)",
                             .seed_default = "15"};
   FlagSet flags("Fig. 10: cookie brute-force success vs ciphertexts x 2^27");

@@ -1,8 +1,8 @@
 // Fig. 8 — probability of recovering the TKIP MIC key vs the number of
 // captured copies of the injected packet, with a ~2^30-candidate traversal
 // and with only the two best candidates. Uses real TKIP key mixing + RC4 per
-// packet; the candidate-list position of the true trailer is computed
-// exactly by the rank DP (materializing 2^30 candidates is infeasible).
+// packet; the candidate-list position of the true trailer is estimated by
+// the rank DP (materializing 2^30 candidates is infeasible).
 // Trials run on the src/sim/ subsystem: results are bit-exact for any
 // --workers value (docs/sim.md).
 #include <cstdio>

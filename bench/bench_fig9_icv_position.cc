@@ -1,7 +1,7 @@
 // Fig. 9 — median position in the candidate list of the first candidate with
 // a correct ICV, vs the number of captured packet copies. Shares the Fig. 8
 // simulation (src/sim/tkip_sim.h): the position is min(rank of the true
-// trailer, first CRC false positive), evaluated with the exact rank DP.
+// trailer, first CRC false positive), the rank from the rank DP's estimate.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -263,15 +263,4 @@ Candidate LazyDoubleCandidateEnumerator::Next() {
   return c;
 }
 
-std::vector<Candidate> GenerateCandidatesDouble(const DoubleByteTables& transitions,
-                                                uint8_t m1, uint8_t m_last, size_t n,
-                                                std::span<const uint8_t> alphabet) {
-  LazyDoubleCandidateEnumerator enumerator(transitions, m1, m_last, alphabet);
-  std::vector<Candidate> out;
-  while (out.size() < n && !enumerator.Exhausted()) {
-    out.push_back(enumerator.Next());
-  }
-  return out;
-}
-
 }  // namespace rc4b

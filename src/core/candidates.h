@@ -146,11 +146,6 @@ class LazyDoubleCandidateEnumerator {
   std::priority_queue<HeapNode> heap_;  // the final merge into mL
 };
 
-// Algorithm 2: the first n candidates of LazyDoubleCandidateEnumerator.
-std::vector<Candidate> GenerateCandidatesDouble(const DoubleByteTables& transitions,
-                                                uint8_t m1, uint8_t m_last, size_t n,
-                                                std::span<const uint8_t> alphabet = {});
-
 }  // namespace rc4b
 
 #endif  // SRC_CORE_CANDIDATES_H_

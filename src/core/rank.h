@@ -5,11 +5,20 @@
 // success criterion only needs the *rank* of the true plaintext: the number
 // of candidates with strictly higher likelihood. Because likelihood scores
 // are sums of per-position (or per-transition) terms, ranks can be counted
-// exactly with a histogram-convolution dynamic program over quantized scores.
+// with a histogram-convolution dynamic program over quantized scores.
 //
-// Quantization gives a [lower, upper] bracket on the rank: candidates whose
-// quantized score ties the truth's bin are counted in `upper` only. Bin width
-// adapts to the distance between the best possible score and the truth.
+// The DP works in quanta of score. A candidate's deficit is its score's
+// distance below the sum of the per-position maxima, in quanta; its bin b is
+// the sum of its per-position deficits, each floored, so over L positions
+// the deficit lies in [b, b + L). The quantum puts the truth's deficit x at
+// about 0.45 * bins, and since deficits only grow along a path, the DP
+// tracks just bins 0 .. ceil(x). See docs/sim.md ("Rank DP").
+//
+// Both functions abort with a message, also in Release builds, on an empty
+// truth, table counts or sizes that do not fit it, an empty or repeating
+// alphabet, a truth byte outside the alphabet, or a truth whose deficit does
+// not fit below `bins` (only tiny `bins`, or scores so large that their sums
+// cancel, get there).
 #ifndef SRC_CORE_RANK_H_
 #define SRC_CORE_RANK_H_
 
@@ -22,10 +31,17 @@
 namespace rc4b {
 
 struct RankBracket {
-  double lower = 0.0;  // count with score strictly above the truth's bin
-  double upper = 0.0;  // plus candidates tying the truth's bin
-  // Midpoint estimate used by the benchmarks.
-  double estimate() const { return 0.5 * (lower + upper); }
+  // Bounds on the rank with one bin of floating-point slack on each side:
+  // `lower` counts the candidates with b + L <= x - 1, which surely score
+  // above the truth; `upper` counts those with b < x + 1, which may, less
+  // the truth itself.
+  double lower = 0.0;
+  double upper = 0.0;
+  // Midpoint of the count below the truth's own floored bin and that count
+  // plus the candidates tying that bin. It lies in [lower, upper], but the
+  // pair it averages can miss the rank (by ~2% at depth), so it is an
+  // estimate, not a bound. The benchmarks report it.
+  double estimate = 0.0;
 };
 
 // Rank of `truth` among all 256^L sequences under independent per-position

@@ -170,7 +170,7 @@ class SingleByteScenario : public Scenario {
           }
 
           Trial trial;
-          trial.rank = IndependentRank(tables, truth).estimate();
+          trial.rank = IndependentRank(tables, truth).estimate;
           trial.exact = trial.rank < 2.0;
           RecoveryOptions options;
           options.max_candidates = budget;

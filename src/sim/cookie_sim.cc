@@ -77,7 +77,7 @@ CookieSimResult RunCookieTrial(const CookieSimContext& context,
                                 options.cookie_length, alphabet);
 
   CookieSimResult result;
-  result.truth_rank = bracket.estimate();
+  result.truth_rank = bracket.estimate;
   result.rank_within_budget = result.truth_rank < options.attempt_budget;
   result.best_is_truth = best == truth;
   return result;

@@ -83,7 +83,7 @@ std::vector<TkipSimPoint> RunTkipTrial(const TkipTscModel& model,
 
     TkipSimPoint point;
     point.packets = checkpoint;
-    point.truth_rank = bracket.estimate();
+    point.truth_rank = bracket.estimate;
     // CRC-32 false positives: candidates ahead of the truth pass the ICV
     // check with probability 2^-32 each. Model the first false hit as a
     // geometric draw (paper Sect. 5.4 observed exactly this failure mode).

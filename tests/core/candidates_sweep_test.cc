@@ -13,6 +13,7 @@
 #include "src/common/rng.h"
 #include "src/core/candidates.h"
 #include "tests/core/eager_candidates_double.h"
+#include "tests/core/generate_candidates_double.h"
 
 namespace rc4b {
 namespace {

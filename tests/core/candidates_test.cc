@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "tests/core/generate_candidates_double.h"
 
 namespace rc4b {
 namespace {

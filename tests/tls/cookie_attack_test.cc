@@ -9,6 +9,7 @@
 #include "src/core/likelihood.h"
 #include "src/recovery/engine.h"
 #include "src/tls/session.h"
+#include "tests/core/generate_candidates_double.h"
 
 namespace rc4b {
 namespace {
