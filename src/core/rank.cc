@@ -233,7 +233,9 @@ RankBracket MarkovRank(const DoubleByteTables& transitions, uint8_t m1,
   // dist[i * width + b]: number of paths ending in sources(t)[i] whose
   // per-transition floored deficits sum to b; row 0 starts as the empty
   // path at m1. Each cell gets its addends by source index ascending, one
-  // per source.
+  // per source. Target rows are filled one at a time, so the row being
+  // summed stays in L1 and `dist` (about 1 MB for a 64-symbol alphabet) is
+  // only read; that keeps the step within the core's own L2.
   const size_t width = window.width;
   std::vector<double> dist(alphabet.size() * width, 0.0);
   std::vector<double> next(alphabet.size() * width);
@@ -241,12 +243,13 @@ RankBracket MarkovRank(const DoubleByteTables& transitions, uint8_t m1,
   for (size_t t = 0; t <= inner; ++t) {
     const auto from = sources(t);
     const auto to = targets(t);
-    std::fill(next.begin(), next.begin() + to.size() * width, 0.0);
-    for (size_t ui = 0; ui < from.size(); ++ui) {
-      for (size_t vi = 0; vi < to.size(); ++vi) {
+    for (size_t vi = 0; vi < to.size(); ++vi) {
+      double* row = next.data() + vi * width;
+      std::fill(row, row + width, 0.0);
+      for (size_t ui = 0; ui < from.size(); ++ui) {
         const size_t off =
             Offset((maxima[t] - score(t, from[ui], to[vi])) / quantum, width);
-        AddShifted(next.data() + vi * width, dist.data() + ui * width, off, width);
+        AddShifted(row, dist.data() + ui * width, off, width);
       }
     }
     dist.swap(next);
