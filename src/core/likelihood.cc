@@ -3,27 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace rc4b {
 
-void XorCorrelate256(const double* weights, const double* log_p, double* lambda) {
-  for (size_t mu = 0; mu < 256; mu += 4) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t c = 0; c < 256; ++c) {
-      const double w = weights[c];
-      if (w == 0.0) {
-        continue;
+void WalshHadamard256(double* a) {
+  for (size_t h = 1; h < 256; h *= 2) {
+    for (size_t i = 0; i < 256; i += 2 * h) {
+      for (size_t j = i; j < i + h; ++j) {
+        const double x = a[j];
+        const double y = a[j + h];
+        a[j] = x + y;
+        a[j + h] = x - y;
       }
-      const size_t base = c ^ mu;
-      s0 += w * log_p[base];
-      s1 += w * log_p[base ^ 1];
-      s2 += w * log_p[base ^ 2];
-      s3 += w * log_p[base ^ 3];
     }
-    lambda[mu] += s0;
-    lambda[mu + 1] += s1;
-    lambda[mu + 2] += s2;
-    lambda[mu + 3] += s3;
   }
 }
 
@@ -37,34 +31,25 @@ std::vector<double> LogProbabilities(std::span<const double> probabilities) {
 
 std::vector<double> SingleByteLogLikelihood(std::span<const uint64_t> counts,
                                             std::span<const double> log_p) {
-  assert(counts.size() == 256 && log_p.size() == 256);
+  if (counts.size() != 256 || log_p.size() != 256) {
+    std::fprintf(stderr,
+                 "SingleByteLogLikelihood: got %zu counts and %zu log "
+                 "probabilities, needs 256 of each\n",
+                 counts.size(), log_p.size());
+    std::abort();
+  }
   double weights[256];
+  std::vector<double> lambda(log_p.begin(), log_p.end());
   for (size_t c = 0; c < 256; ++c) {
-    weights[c] = static_cast<double>(counts[c]);
+    // H(H(x)) = 256 x; the exact 1/256 rides on the counts.
+    weights[c] = static_cast<double>(counts[c]) / 256.0;
   }
-  std::vector<double> lambda(256, 0.0);
-  XorCorrelate256(weights, log_p.data(), lambda.data());
-  return lambda;
-}
-
-std::vector<double> DoubleByteLogLikelihoodDense(std::span<const uint64_t> counts,
-                                                 std::span<const double> log_p) {
-  assert(counts.size() == 65536 && log_p.size() == 65536);
-  // Convert the counts once; the kernel then reads double rows directly.
-  std::vector<double> weights(65536);
-  for (size_t i = 0; i < 65536; ++i) {
-    weights[i] = static_cast<double>(counts[i]);
+  WalshHadamard256(weights);
+  WalshHadamard256(lambda.data());
+  for (size_t k = 0; k < 256; ++k) {
+    lambda[k] *= weights[k];
   }
-  std::vector<double> lambda(65536, 0.0);
-  for (size_t mu1 = 0; mu1 < 256; ++mu1) {
-    double* lambda_row = lambda.data() + mu1 * 256;
-    for (size_t c1 = 0; c1 < 256; ++c1) {
-      // lambda[mu1][mu2] += sum_c2 counts[c1][c2] * log_p[c1 ^ mu1][c2 ^ mu2]:
-      // one 2 KiB x 2 KiB blocked inner product per (mu1, c1) pair.
-      XorCorrelate256(weights.data() + c1 * 256,
-                      log_p.data() + (c1 ^ mu1) * 256, lambda_row);
-    }
-  }
+  WalshHadamard256(lambda.data());
   return lambda;
 }
 

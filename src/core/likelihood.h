@@ -33,30 +33,28 @@ inline double SafeLog(double p) {
   return std::log(p < kMinProbability ? kMinProbability : p);
 }
 
-// Blocked XOR-correlation kernel shared by the likelihood hot loops:
-//   lambda[mu] += sum_c weights[c] * log_p[c XOR mu]   for all mu in 0..255.
-// All three 256-double rows are L1-resident; the kernel unrolls mu four wide
-// (each mu keeps its own accumulator, summed in ascending-c order, so results
-// are bit-identical to the naive loop) and skips zero-weight cells, which
-// also keeps a -inf in log_p from turning 0 * -inf into NaN.
-void XorCorrelate256(const double* weights, const double* log_p, double* lambda);
+// In-place, unnormalised 256-point Walsh–Hadamard transform:
+//   for h = 1, 2, ..., 128: (a[j], a[j + h]) -> (a[j] + a[j + h], a[j] - a[j + h]).
+// H diagonalises XOR-correlation: for lambda[mu] = sum_c w[c] * l[c XOR mu],
+//   H(lambda) = H(w) * H(l) (elementwise), and H(H(x)) = 256 * x.
+// So a 256-point correlation costs three transforms (3 x 2048 adds) and 256
+// multiplies instead of 65536 multiply-adds; sums of correlations share the
+// last transform. Every single-byte likelihood below goes through it.
+void WalshHadamard256(double* a);
 
 // Elementwise SafeLog() of a probability vector (any size).
 std::vector<double> LogProbabilities(std::span<const double> probabilities);
 
 // Single-byte likelihood, formula (11)/(12):
-//   lambda_mu = sum_c counts[c] * log_p[c XOR mu].
-// `counts[c]` is the number of ciphertexts whose byte at this position is c;
-// `log_p` is the (log) keystream distribution at this position.
+//   lambda_mu = sum_c counts[c] * log_p[c XOR mu],
+// evaluated as H(H(counts) * H(log_p)) / 256. `counts[c]` is the number of
+// ciphertexts whose byte at this position is c; `log_p` is the (log)
+// keystream distribution at this position, and must be finite (SafeLog
+// floors it): the transform spreads a -inf over every lambda as NaN. Both
+// spans must hold 256 entries; anything else aborts with a message, in every
+// build type.
 std::vector<double> SingleByteLogLikelihood(std::span<const uint64_t> counts,
                                             std::span<const double> log_p);
-
-// Dense double-byte likelihood, formula (13): counts and log_p are 65536-cell
-// tables indexed c1 * 256 + c2 / k1 * 256 + k2. O(2^32); used for validation.
-// Evaluated as 2^16 blocked XorCorrelate256 calls over (mu1, c1) pairs so
-// every inner product runs on L1-resident rows.
-std::vector<double> DoubleByteLogLikelihoodDense(std::span<const uint64_t> counts,
-                                                 std::span<const double> log_p);
 
 // Sparse double-byte likelihood, the optimization of formula (15): all
 // keystream pairs share probability `u` except for the `biased_cells`.

@@ -25,19 +25,26 @@ SingleByteTables TkipTrailerLikelihoods(const TkipCaptureStats& stats,
   const size_t positions = stats.position_count();
   SingleByteTables tables(positions, std::vector<double>(256, 0.0));
   double weights[256];
-  for (size_t tsc1 = 0; tsc1 < 256; ++tsc1) {
-    for (size_t p = 0; p < positions; ++p) {
-      const size_t pos = stats.first_position() + p;
+  double log_row[256];
+  for (size_t p = 0; p < positions; ++p) {
+    const size_t pos = stats.first_position() + p;
+    // lambda_pos = H(sum_tsc1 H(counts / 256) * H(log_p)): the 256 per-TSC1
+    // correlations share the final transform (src/core/likelihood.h).
+    double* acc = tables[p].data();
+    for (size_t tsc1 = 0; tsc1 < 256; ++tsc1) {
       const uint64_t* counts = stats.Row(static_cast<uint8_t>(tsc1), pos);
+      const double* log_p = model.LogRow(static_cast<uint8_t>(tsc1), pos);
       for (size_t c = 0; c < 256; ++c) {
-        weights[c] = static_cast<double>(counts[c]);
+        weights[c] = static_cast<double>(counts[c]) / 256.0;
+        log_row[c] = log_p[c];
       }
-      // lambda_pos[mu] += sum_c counts[c] * log_p[c ^ mu], one blocked
-      // XOR-correlation per (tsc1, position) row — the per-checkpoint hot
-      // loop of the TKIP simulations.
-      XorCorrelate256(weights, model.LogRow(static_cast<uint8_t>(tsc1), pos),
-                      tables[p].data());
+      WalshHadamard256(weights);
+      WalshHadamard256(log_row);
+      for (size_t k = 0; k < 256; ++k) {
+        acc[k] += weights[k] * log_row[k];
+      }
     }
+    WalshHadamard256(acc);
   }
   return tables;
 }

@@ -30,7 +30,9 @@ namespace rc4b {
 
 // Per-position log-likelihood tables for the unknown trailer bytes, computed
 // from captured ciphertext statistics and the attacker's per-TSC1 model:
-//   lambda_pos(mu) = sum_tsc1 sum_c counts[tsc1][pos][c] * log p[tsc1][pos][c ^ mu].
+//   lambda_pos(mu) = sum_tsc1 sum_c counts[tsc1][pos][c] * log p[tsc1][pos][c ^ mu],
+// evaluated as H(sum_tsc1 H(counts) * H(log p)) / 256 with the Walsh–Hadamard
+// transform H (src/core/likelihood.h), one shared final transform per position.
 // Positions covered: [stats.first_position(), stats.last_position()]. The
 // stats and model position ranges must match; on a mismatch the function
 // returns empty tables instead of reading out of bounds.

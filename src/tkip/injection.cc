@@ -1,6 +1,8 @@
 #include "src/tkip/injection.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/common/alias.h"
 #include "src/rc4/rc4.h"
@@ -67,7 +69,12 @@ TkipFrame ModelVictimSource::NextFrame() {
 
 TkipCaptureStats::TkipCaptureStats(size_t first_position, size_t last_position)
     : first_position_(first_position), last_position_(last_position) {
-  assert(first_position >= 1 && first_position <= last_position);
+  if (first_position < 1 || first_position > last_position) {
+    std::fprintf(stderr,
+                 "TkipCaptureStats: positions [%zu, %zu] need 1 <= first <= last\n",
+                 first_position, last_position);
+    std::abort();
+  }
   counts_.assign(256 * position_count() * 256, 0);
 }
 
@@ -88,8 +95,16 @@ bool TkipCaptureStats::AddFrame(const TkipFrame& frame) {
 }
 
 void TkipCaptureStats::Merge(const TkipCaptureStats& other) {
-  assert(first_position_ == other.first_position_ &&
-         last_position_ == other.last_position_);
+  // Load-bearing: a different range would read past other.counts_.
+  if (first_position_ != other.first_position_ ||
+      last_position_ != other.last_position_) {
+    std::fprintf(stderr,
+                 "TkipCaptureStats::Merge: positions [%zu, %zu] do not match "
+                 "[%zu, %zu]\n",
+                 other.first_position_, other.last_position_, first_position_,
+                 last_position_);
+    std::abort();
+  }
   for (size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }

@@ -1,7 +1,8 @@
 #include "src/tkip/tsc_model.h"
 
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 #include "src/common/rng.h"
@@ -14,7 +15,12 @@ namespace rc4b {
 
 TkipTscModel::TkipTscModel(size_t first_position, size_t last_position)
     : first_position_(first_position), last_position_(last_position) {
-  assert(first_position >= 1 && first_position <= last_position);
+  if (first_position < 1 || first_position > last_position) {
+    std::fprintf(stderr,
+                 "TkipTscModel: positions [%zu, %zu] need 1 <= first <= last\n",
+                 first_position, last_position);
+    std::abort();
+  }
   log_p_.assign(256 * position_count() * 256, 0.0);
 }
 
@@ -82,8 +88,15 @@ double TkipTscModel::RmsRelativeDeviation() const {
 
 void TkipTscModel::SetRow(uint8_t tsc1, size_t pos,
                           std::span<const double> probabilities) {
-  assert(probabilities.size() == 256);
-  assert(pos >= first_position_ && pos <= last_position_);
+  // Load-bearing: a bad position or row size would write outside log_p_.
+  if (pos < first_position_ || pos > last_position_ ||
+      probabilities.size() != 256) {
+    std::fprintf(stderr,
+                 "TkipTscModel::SetRow: position %zu with %zu probabilities; "
+                 "needs a position in [%zu, %zu] and 256 probabilities\n",
+                 pos, probabilities.size(), first_position_, last_position_);
+    std::abort();
+  }
   double* row = log_p_.data() + (static_cast<size_t>(tsc1) * position_count() +
                                  (pos - first_position_)) *
                                     256;

@@ -7,6 +7,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/synthetic.h"
+#include "tests/core/xor_correlate_oracle.h"
 
 namespace rc4b {
 namespace {
@@ -182,6 +183,18 @@ TEST(LikelihoodTest, DenseDoubleByteMatchesNaiveReference) {
     }
     EXPECT_NEAR(lambda[mu], expected, 1e-6 * std::abs(expected)) << "mu=" << mu;
   }
+}
+
+TEST(LikelihoodDeathTest, SingleByteRejectsWrongSizes) {
+  // Release builds too: a short span would be read past its end.
+  const std::vector<uint64_t> counts(256, 1);
+  const std::vector<double> log_p(256, -5.0);
+  const std::vector<uint64_t> short_counts(255, 1);
+  const std::vector<double> long_log_p(257, -5.0);
+  EXPECT_DEATH(SingleByteLogLikelihood(short_counts, log_p),
+               "got 255 counts and 256 log probabilities, needs 256 of each");
+  EXPECT_DEATH(SingleByteLogLikelihood(counts, long_log_p),
+               "got 256 counts and 257 log probabilities, needs 256 of each");
 }
 
 TEST(LikelihoodTest, ArgMaxIsSafeOnEmptySpan) {

@@ -130,6 +130,32 @@ TEST(TkipAttackTest, LikelihoodsRejectMismatchedPositionRanges) {
   EXPECT_TRUE(TkipTrailerLikelihoods(stats, model).empty());
 }
 
+TEST(TkipAttackDeathTest, PositionRangesNeedFirstAtLeastOneAndAtMostLast) {
+  // Release builds too: a reversed range makes position_count() zero or
+  // wrap it, and every row access then lands outside the storage.
+  EXPECT_DEATH(TkipTscModel(0, 11), "TkipTscModel: positions \\[0, 11\\]");
+  EXPECT_DEATH(TkipTscModel(12, 11), "TkipTscModel: positions \\[12, 11\\]");
+  EXPECT_DEATH(TkipCaptureStats(0, 11), "TkipCaptureStats: positions \\[0, 11\\]");
+  EXPECT_DEATH(TkipCaptureStats(12, 11), "TkipCaptureStats: positions \\[12, 11\\]");
+}
+
+TEST(TkipAttackDeathTest, SetRowRejectsBadPositionOrSize) {
+  TkipTscModel model(10, 21);
+  const std::vector<double> row(256, 1.0 / 256.0);
+  const std::vector<double> short_row(255, 1.0 / 255.0);
+  EXPECT_DEATH(model.SetRow(0, 9, row), "SetRow: position 9 with 256");
+  EXPECT_DEATH(model.SetRow(0, 22, row), "SetRow: position 22 with 256");
+  EXPECT_DEATH(model.SetRow(0, 10, short_row), "SetRow: position 10 with 255");
+}
+
+TEST(TkipAttackDeathTest, MergeRejectsMismatchedPositionRanges) {
+  TkipCaptureStats stats(10, 21);
+  EXPECT_DEATH(stats.Merge(TkipCaptureStats(10, 22)),
+               "Merge: positions \\[10, 22\\] do not match \\[10, 21\\]");
+  EXPECT_DEATH(stats.Merge(TkipCaptureStats(11, 21)),
+               "Merge: positions \\[11, 21\\] do not match \\[10, 21\\]");
+}
+
 TEST(TkipAttackTest, CaptureStatsRejectShortFrames) {
   TkipCaptureStats stats(10, 21);
   TkipFrame frame;
