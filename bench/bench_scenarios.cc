@@ -1,13 +1,14 @@
-// Scenario runner — any named scenario from the unified recovery registry
-// (src/recovery/scenario.h, docs/recovery.md) end-to-end: victim setup,
+// Scenario runner — any named built-in scenario of the unified recovery
+// pipeline (src/recovery/scenario.h, docs/recovery.md) end-to-end: victim setup,
 // capture, likelihood source, candidate traversal, verification. One binary
-// covers every workload the registry names (TKIP trailer variants, cookie
+// covers every workload the table names (TKIP trailer variants, cookie
 // length x charset x gap combinations, single-byte recovery beyond position
 // 256); trials run on the src/sim/ runner, so every printed row is bit-exact
 // for any --workers value.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,25 +48,23 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const auto& registry = recovery::ScenarioRegistry::Builtin();
+  const std::vector<recovery::Scenario>& builtins = recovery::BuiltinScenarios();
   const std::string name = flags.GetString("scenario");
   if (name == "list") {
-    for (const recovery::Scenario* scenario : registry.List()) {
-      std::printf("%-24s %s\n", scenario->name().c_str(),
-                  scenario->description().c_str());
+    for (const recovery::Scenario& scenario : builtins) {
+      std::printf("%-24s %s\n", scenario.name.c_str(), scenario.description.c_str());
     }
     return 0;
   }
 
-  std::vector<const recovery::Scenario*> selected;
-  if (name == "all") {
-    selected = registry.List();
-  } else if (const recovery::Scenario* scenario = registry.Find(name)) {
-    selected.push_back(scenario);
-  } else {
-    std::fprintf(stderr, "unknown scenario '%s' (use --scenario=list)\n",
-                 name.c_str());
-    return 2;
+  std::span<const recovery::Scenario> selected = builtins;
+  if (name != "all") {
+    const recovery::Scenario* scenario = recovery::FindScenario(builtins, name);
+    if (scenario == nullptr) {
+      std::fprintf(stderr, "unknown scenario '%s' (use --scenario=list)\n", name.c_str());
+      return 2;
+    }
+    selected = std::span(scenario, 1);
   }
 
   const ScaleFlagValues scale_values = GetScaleFlags(flags, scale);
@@ -85,14 +84,14 @@ int Run(int argc, char** argv) {
 
   std::printf("%-24s %8s %12s %12s %14s %8s\n", "scenario", "trials",
               "budget wins", "exact wins", "median rank", "secs");
-  for (const recovery::Scenario* scenario : selected) {
+  for (const recovery::Scenario& scenario : selected) {
     const auto begin = std::chrono::steady_clock::now();
-    const auto outcome = scenario->Run(params);
+    const auto outcome = recovery::RunScenario(scenario, params);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
             .count();
     std::printf("%-24s %8llu %11.1f%% %11.1f%% %14.0f %8.2f\n",
-                scenario->name().c_str(),
+                scenario.name.c_str(),
                 static_cast<unsigned long long>(outcome.trials),
                 100.0 * static_cast<double>(outcome.budget_wins) /
                     static_cast<double>(outcome.trials),

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/engine/accumulators.h"
 #include "src/stats/tests.h"
 
 namespace rc4b {
@@ -105,20 +104,6 @@ double RelativeBias(const DigraphGrid& grid, size_t row, uint8_t v1, uint8_t v2)
   const double expected = grid.MarginalFirst(row, v1) * grid.MarginalSecond(row, v2);
   const double actual = grid.Probability(row, v1, v2);
   return actual / expected - 1.0;
-}
-
-std::vector<SingleByteScanResult> ScanSingleBytesWithEngine(
-    size_t positions, const EngineOptions& options, double alpha) {
-  SingleByteAccumulator accumulator(positions);
-  RunKeystreamEngine(options, accumulator);
-  return ScanSingleBytes(accumulator.grid(), alpha);
-}
-
-std::vector<PairDependence> ScanConsecutiveDigraphsWithEngine(
-    size_t positions, const EngineOptions& options, double alpha) {
-  ConsecutiveAccumulator accumulator(positions);
-  RunKeystreamEngine(options, accumulator);
-  return ScanPairDependence(accumulator.grid(), alpha);
 }
 
 }  // namespace rc4b

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/engine/keystream_engine.h"
 #include "src/stats/counters.h"
 
 namespace rc4b {
@@ -64,14 +63,6 @@ std::vector<BiasedCell> FindBiasedCells(const DigraphGrid& grid, size_t row,
 // Relative bias of a single cell against the independence expectation
 // (no testing); the quantity plotted in Fig. 4 and Fig. 5.
 double RelativeBias(const DigraphGrid& grid, size_t row, uint8_t v1, uint8_t v2);
-
-// One-shot engine-backed scans: generate the statistics through the sharded
-// keystream engine (src/engine/) and run the corresponding test battery.
-// Results are bit-identical for any options.workers.
-std::vector<SingleByteScanResult> ScanSingleBytesWithEngine(
-    size_t positions, const EngineOptions& options, double alpha = kPaperAlpha);
-std::vector<PairDependence> ScanConsecutiveDigraphsWithEngine(
-    size_t positions, const EngineOptions& options, double alpha = kPaperAlpha);
 
 }  // namespace rc4b
 

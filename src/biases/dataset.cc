@@ -30,13 +30,13 @@ bool UseCache(const Options& options) {
 }
 
 // Generates the grid `meta` describes: through the cache when it applies,
-// otherwise in-process at the requested interleave.
+// otherwise in-process on the lane kernel.
 template <typename Options>
 store::StoredGrid Generate(const store::GridMeta& meta, const Options& options) {
   if (UseCache(options)) {
     return store::GridCache(options.cache_dir).LoadOrGenerate(meta, options.workers);
   }
-  return store::GenerateStoredGrid(meta, options.workers, options.interleave);
+  return store::GenerateStoredGrid(meta, options.workers, /*interleave=*/0);
 }
 
 LongTermEngineOptions ToLongTermOptions(const LongTermOptions& options) {
@@ -46,7 +46,6 @@ LongTermEngineOptions ToLongTermOptions(const LongTermOptions& options) {
   engine.drop = options.drop;
   engine.workers = options.workers;
   engine.seed = options.seed;
-  engine.interleave = options.interleave;
   engine.first_key = options.first_key;
   // 64 KiB windows; the engine consumes every whole 256-byte block of
   // bytes_per_key regardless of the window size.

@@ -26,9 +26,6 @@ struct DatasetOptions {
   // number k of that stream, so counts are bit-identical for any `workers`
   // (see src/engine/keystream_engine.h).
   uint64_t seed = 1;
-  // 0 = the lane kernel, 1 = the scalar reference path; counts are
-  // bit-identical either way — see EngineOptions::interleave.
-  size_t interleave = 0;
   // Global index of the first key: the dataset covers keys [first_key,
   // first_key + keys) of the seed's stream. Nonzero when a shard of a
   // distributed generation run (src/store/manifest.h) computes its slice.
@@ -62,7 +59,6 @@ struct LongTermOptions {
   uint64_t drop = 1024;  // paper drops the initial 1023 bytes; we drop 1024
   unsigned workers = 0;
   uint64_t seed = 1;  // shared AES-CTR stream seed (worker-count invariant)
-  size_t interleave = 0;   // 0 = lane kernel, 1 = scalar reference path
   uint64_t first_key = 0;  // global key-range offset (see DatasetOptions)
   std::string cache_dir;   // GridCache directory (digraph dataset only)
 };

@@ -110,12 +110,7 @@ BinaryWriter::BinaryWriter(const std::string& path)
 }
 
 BinaryWriter::~BinaryWriter() {
-  if (finished_) {
-    return;
-  }
-  if (status_.ok()) {
-    Commit();  // legacy scope-based usage; errors are unobservable here
-  } else {
+  if (!finished_) {
     Abandon();
   }
 }

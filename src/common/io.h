@@ -68,10 +68,9 @@ IoStatus MakeDirs(const std::string& path);
 // name embeds the pid and a process-wide counter so concurrent writers
 // targeting the same destination (e.g. two GridCache fills racing on one
 // cache entry) never interleave bytes in a shared temp file — each commits
-// its own complete image and the last rename wins. The destructor commits
-// best-effort if the stream is healthy and Commit() was never called (legacy
-// scope-based usage), and deletes the temp file if any write failed — a
-// half-written artifact never replaces a good one.
+// its own complete image and the last rename wins. A writer destroyed
+// without Commit() deletes its temp file and leaves the destination as it
+// was, so an early return between writes never publishes a partial file.
 class BinaryWriter {
  public:
   explicit BinaryWriter(const std::string& path);

@@ -4,18 +4,20 @@
 // recovery pipeline: victim setup, statistics capture (real or sampled from
 // the exact law), likelihood tables, and the rank / RecoveryEngine success
 // criteria — run trial-parallel on src/sim/runner.h under its determinism
-// contract, so every outcome is bit-exact for any worker count. The registry
-// names concrete parameterizations (cookie length x charset x gap budget,
-// TKIP trailer/payload variants, single-byte recovery beyond position 256)
-// so benches, sims, examples and tests all drive the same API instead of
+// contract, so every outcome is bit-exact for any worker count. A scenario
+// is plain data, a name plus one family's config; the built-in table names
+// concrete parameterizations (cookie length x charset x gap budget, TKIP
+// trailer/payload variants, single-byte recovery beyond position 256) so
+// benches, sims, examples and tests all drive the same API instead of
 // hand-rolling per-workload harnesses.
 #ifndef SRC_RECOVERY_SCENARIO_H_
 #define SRC_RECOVERY_SCENARIO_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -50,49 +52,6 @@ struct ScenarioOutcome {
   bool operator==(const ScenarioOutcome&) const = default;
 };
 
-class Scenario {
- public:
-  virtual ~Scenario() = default;
-
-  const std::string& name() const { return name_; }
-  const std::string& description() const { return description_; }
-
-  // Runs params.trials simulated attacks on the thread pool. Deterministic:
-  // a pure function of params minus params.workers.
-  virtual ScenarioOutcome Run(const ScenarioParams& params) const = 0;
-
- protected:
-  Scenario(std::string name, std::string description)
-      : name_(std::move(name)), description_(std::move(description)) {}
-
- private:
-  std::string name_;
-  std::string description_;
-};
-
-class ScenarioRegistry {
- public:
-  // Registers a scenario; its name must be unique within the registry.
-  void Register(std::unique_ptr<Scenario> scenario);
-
-  // Lookup by name; nullptr when absent.
-  const Scenario* Find(std::string_view name) const;
-
-  // All scenarios in registration order.
-  std::vector<const Scenario*> List() const;
-
-  // The built-in scenarios: the paper's two headline attacks plus the
-  // variants listed in docs/recovery.md.
-  static const ScenarioRegistry& Builtin();
-
- private:
-  std::vector<std::unique_ptr<Scenario>> scenarios_;
-};
-
-// --- Built-in scenario families ------------------------------------------
-// Factories are exposed so callers can register their own parameterizations
-// next to the built-ins (see docs/recovery.md "adding a scenario").
-
 // WPA-TKIP trailer decryption (Sect. 5): per-TSC1 likelihoods over captured
 // retransmissions of the injected packet, CRC(MIC||ICV) verification.
 struct TkipTrailerScenarioConfig {
@@ -103,8 +62,6 @@ struct TkipTrailerScenarioConfig {
   uint64_t default_samples = uint64_t{1} << 20;     // captured frames
   uint64_t default_budget = uint64_t{1} << 30;      // candidate traversal
 };
-std::unique_ptr<Scenario> MakeTkipTrailerScenario(
-    std::string name, std::string description, TkipTrailerScenarioConfig config);
 
 // HTTPS secure-cookie brute force (Sect. 6): combined FM + multi-gap ABSAB
 // transition tables at paper-scale request counts, Algorithm 2 candidates
@@ -117,9 +74,6 @@ struct CookieScenarioConfig {
   uint64_t default_samples = uint64_t{9} << 27;  // captured requests
   uint64_t default_budget = uint64_t{1} << 23;   // brute-force attempts
 };
-std::unique_ptr<Scenario> MakeCookieScenario(std::string name,
-                                             std::string description,
-                                             CookieScenarioConfig config);
 
 // Single-byte plaintext recovery beyond keystream position 256 (Sect. 3.3.3
 // / 6.1 setting): per-position distributions measured with the keystream
@@ -132,8 +86,34 @@ struct SingleByteScenarioConfig {
   uint64_t default_samples = uint64_t{1} << 12;     // captured ciphertexts
   uint64_t default_budget = uint64_t{1} << 16;      // candidate traversal
 };
-std::unique_ptr<Scenario> MakeSingleByteScenario(
-    std::string name, std::string description, SingleByteScenarioConfig config);
+
+// Each overload runs params.trials simulated attacks of its family on the
+// thread pool. Deterministic: a pure function of (config, params) minus
+// params.workers.
+ScenarioOutcome RunScenario(const TkipTrailerScenarioConfig& config,
+                            const ScenarioParams& params);
+ScenarioOutcome RunScenario(const CookieScenarioConfig& config,
+                            const ScenarioParams& params);
+ScenarioOutcome RunScenario(const SingleByteScenarioConfig& config,
+                            const ScenarioParams& params);
+
+// A named parameterization of one family.
+struct Scenario {
+  std::string name;
+  std::string description;
+  std::variant<TkipTrailerScenarioConfig, CookieScenarioConfig, SingleByteScenarioConfig>
+      config;
+};
+
+// Runs the scenario's config through its family's overload.
+ScenarioOutcome RunScenario(const Scenario& scenario, const ScenarioParams& params);
+
+// The built-in scenarios, names unique: the paper's two headline attacks
+// plus the variants listed in docs/recovery.md.
+const std::vector<Scenario>& BuiltinScenarios();
+
+// Lookup by name; nullptr when absent.
+const Scenario* FindScenario(std::span<const Scenario> scenarios, std::string_view name);
 
 }  // namespace rc4b::recovery
 

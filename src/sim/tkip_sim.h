@@ -28,7 +28,7 @@ struct TkipSimOptions {
   std::vector<uint64_t> checkpoints;  // packet counts at which to evaluate
   // Payload of the injected TCP packet. Empty selects Sect. 5.2's optimal
   // 7-byte payload; other lengths shift the MIC+ICV trailer to different
-  // keystream positions (the scenario registry's TKIP variants).
+  // keystream positions (the scenario table's TKIP variants).
   Bytes payload;
   // Traversal budget for the success criterion ("nearly 2^30 candidates").
   uint64_t candidate_budget = uint64_t{1} << 30;

@@ -1,6 +1,5 @@
 #include "src/tkip/injection.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -25,6 +24,15 @@ struct ModelVictimSource::Impl {
         last(model.last_position()),
         tsc(initial_tsc),
         rng(seed) {
+    // Load-bearing: NextFrame reads plaintext[pos - 1] up to `last`. Checked
+    // before the 256 x positions alias tables are built.
+    if (plaintext.size() < last) {
+      std::fprintf(stderr,
+                   "ModelVictimSource: plaintext of %zu bytes ends before last "
+                   "position %zu\n",
+                   plaintext.size(), last);
+      std::abort();
+    }
     const size_t positions = model.position_count();
     samplers.resize(256 * positions);
     std::vector<double> weights(256);
@@ -44,9 +52,7 @@ struct ModelVictimSource::Impl {
 
 ModelVictimSource::ModelVictimSource(const TkipTscModel& model, Bytes plaintext,
                                      uint64_t initial_tsc, uint64_t seed)
-    : impl_(std::make_unique<Impl>(model, std::move(plaintext), initial_tsc, seed)) {
-  assert(impl_->plaintext.size() >= impl_->last);
-}
+    : impl_(std::make_unique<Impl>(model, std::move(plaintext), initial_tsc, seed)) {}
 
 ModelVictimSource::~ModelVictimSource() = default;
 

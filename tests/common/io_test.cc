@@ -62,10 +62,24 @@ TEST(BinaryIoTest, U64RoundTrip) {
     ASSERT_TRUE(writer.ok());
     writer.WriteU64(0);
     writer.WriteU64(0xdeadbeefcafef00dULL);
+    ASSERT_TRUE(writer.Commit().ok());
   }
   EXPECT_EQ(MappedU64s(path),
             (std::vector<uint64_t>{0, 0xdeadbeefcafef00dULL}));
   std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, WriterDestroyedWithoutCommitLeavesNoFile) {
+  const std::string path = TempPath("uncommitted.bin");
+  std::remove(path.c_str());
+  {
+    BinaryWriter writer(path);
+    ASSERT_TRUE(writer.ok());
+    writer.WriteU64(7);
+    ASSERT_TRUE(writer.ok());
+  }
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(TempLeftoverExists(path));
 }
 
 TEST(BinaryIoTest, ArrayRoundTrip) {

@@ -119,14 +119,14 @@ TEST(KeystreamEngineTest, DatasetWrappersRideTheEngine) {
 }
 
 TEST(KeystreamEngineTest, EngineScansDetectKnownBiases) {
-  // The one-shot engine-backed scans: Z2 (Mantin–Shamir) must be flagged
-  // biased and (Z1, Z2) dependent; 2^17 keys give >20-sigma signals.
-  const auto single = ScanSingleBytesWithEngine(4, Options(1 << 17, 0, 2));
+  // The scans over engine-generated grids: Z2 (Mantin–Shamir) must be
+  // flagged biased and (Z1, Z2) dependent; 2^17 keys give >20-sigma signals.
+  const auto single = ScanSingleBytes(RunSingleByte(4, Options(1 << 17, 0, 2)));
   ASSERT_EQ(single.size(), 4u);
   EXPECT_TRUE(single[1].biased) << "Z2 p_adj=" << single[1].p_adjusted;
   EXPECT_FALSE(single[2].biased);
 
-  const auto pairs = ScanConsecutiveDigraphsWithEngine(2, Options(1 << 17, 0, 2));
+  const auto pairs = ScanPairDependence(RunConsecutive(2, Options(1 << 17, 0, 2)));
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_TRUE(pairs[0].dependent) << "(Z1,Z2) p_adj=" << pairs[0].p_adjusted;
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/tls/cookie_attack.h"
 
@@ -24,7 +27,7 @@ ScenarioParams TinyParams() {
 void ExpectBitExactAcrossWorkerCounts(const Scenario& scenario,
                                       ScenarioParams params) {
   params.workers = 1;
-  const auto one = scenario.Run(params);
+  const auto one = RunScenario(scenario, params);
   EXPECT_EQ(one.trials, params.trials);
   EXPECT_EQ(one.ranks.size(), params.trials);
   for (double rank : one.ranks) {
@@ -32,42 +35,47 @@ void ExpectBitExactAcrossWorkerCounts(const Scenario& scenario,
   }
   for (unsigned workers : {2u, 4u}) {
     params.workers = workers;
-    const auto many = scenario.Run(params);
-    EXPECT_TRUE(one == many) << scenario.name() << " workers=" << workers;
+    const auto many = RunScenario(scenario, params);
+    EXPECT_TRUE(one == many) << scenario.name << " workers=" << workers;
   }
 }
 
-TEST(ScenarioRegistryTest, BuiltinNamesResolve) {
-  const auto& registry = ScenarioRegistry::Builtin();
+TEST(ScenarioTableTest, BuiltinNamesResolve) {
+  const std::vector<Scenario>& builtins = BuiltinScenarios();
   for (const char* name :
        {"tkip-trailer", "tkip-trailer-long16", "cookie-base64-16",
         "cookie-hex-8-gap32", "singlebyte-beyond256"}) {
-    const Scenario* scenario = registry.Find(name);
+    const Scenario* scenario = FindScenario(builtins, name);
     ASSERT_NE(scenario, nullptr) << name;
-    EXPECT_EQ(scenario->name(), name);
-    EXPECT_FALSE(scenario->description().empty());
+    EXPECT_EQ(scenario->name, name);
+    EXPECT_FALSE(scenario->description.empty());
   }
-  EXPECT_EQ(registry.Find("no-such-scenario"), nullptr);
-  EXPECT_EQ(registry.List().size(), 5u);
+  EXPECT_EQ(FindScenario(builtins, "no-such-scenario"), nullptr);
+  EXPECT_EQ(builtins.size(), 5u);
+  // FindScenario returns the first match, so a duplicate name would hide a
+  // scenario.
+  std::set<std::string> names;
+  for (const Scenario& scenario : builtins) {
+    EXPECT_TRUE(names.insert(scenario.name).second) << "duplicate " << scenario.name;
+  }
 }
 
-TEST(ScenarioRegistryTest, CustomScenariosRegisterNextToBuiltins) {
-  ScenarioRegistry registry;
+TEST(ScenarioTableTest, CustomScenariosRegisterNextToBuiltins) {
   CookieScenarioConfig config;
   config.cookie_length = 2;
   config.alphabet = CookieAlphabetHex();
   config.max_gap = 8;
-  registry.Register(
-      MakeCookieScenario("my-workload", "two hex bytes", config));
-  const Scenario* scenario = registry.Find("my-workload");
+  const std::vector<Scenario> table = {{"my-workload", "two hex bytes", config}};
+  const Scenario* scenario = FindScenario(table, "my-workload");
   ASSERT_NE(scenario, nullptr);
+  EXPECT_EQ(FindScenario(BuiltinScenarios(), "my-workload"), nullptr);
 
   ScenarioParams params;
   params.trials = 2;
   params.seed = 3;
   params.samples = uint64_t{1} << 32;
   params.budget = 64;
-  const auto outcome = scenario->Run(params);
+  const auto outcome = RunScenario(*scenario, params);
   EXPECT_EQ(outcome.trials, 2u);
   // Two hex characters at 2^32 ciphertexts: the combined FM + ABSAB signal
   // pins both bytes in every trial.
@@ -75,40 +83,36 @@ TEST(ScenarioRegistryTest, CustomScenariosRegisterNextToBuiltins) {
 }
 
 // The satellite contract extension: 1/2/4-worker bit-exactness of one
-// registry scenario from each family, mirroring tests/sim/.
+// built-in scenario from each family, mirroring tests/sim/.
 
 TEST(ScenarioDeterminismTest, TkipFamilyBitExactAcrossWorkerCounts) {
-  const auto& registry = ScenarioRegistry::Builtin();
-  ExpectBitExactAcrossWorkerCounts(*registry.Find("tkip-trailer"),
+  ExpectBitExactAcrossWorkerCounts(*FindScenario(BuiltinScenarios(), "tkip-trailer"),
                                    TinyParams());
 }
 
 TEST(ScenarioDeterminismTest, CookieFamilyBitExactAcrossWorkerCounts) {
-  const auto& registry = ScenarioRegistry::Builtin();
   ScenarioParams params = TinyParams();
   params.samples = uint64_t{1} << 28;
-  ExpectBitExactAcrossWorkerCounts(*registry.Find("cookie-hex-8-gap32"),
-                                   params);
+  ExpectBitExactAcrossWorkerCounts(
+      *FindScenario(BuiltinScenarios(), "cookie-hex-8-gap32"), params);
 }
 
 TEST(ScenarioDeterminismTest, SingleByteFamilyBitExactAcrossWorkerCounts) {
-  const auto& registry = ScenarioRegistry::Builtin();
   ScenarioParams params = TinyParams();
   params.model_keys = 1 << 12;
-  ExpectBitExactAcrossWorkerCounts(*registry.Find("singlebyte-beyond256"),
-                                   params);
+  ExpectBitExactAcrossWorkerCounts(
+      *FindScenario(BuiltinScenarios(), "singlebyte-beyond256"), params);
 }
 
 TEST(ScenarioDeterminismTest, PayloadVariantShiftsTheTrailerPositions) {
   // The long-payload variant must still run end-to-end (its model and stats
   // cover deeper keystream positions) and be deterministic at a fixed seed.
-  const auto& registry = ScenarioRegistry::Builtin();
-  const Scenario* scenario = registry.Find("tkip-trailer-long16");
+  const Scenario* scenario = FindScenario(BuiltinScenarios(), "tkip-trailer-long16");
   ASSERT_NE(scenario, nullptr);
   ScenarioParams params = TinyParams();
   params.trials = 2;
-  const auto first = scenario->Run(params);
-  const auto second = scenario->Run(params);
+  const auto first = RunScenario(*scenario, params);
+  const auto second = RunScenario(*scenario, params);
   EXPECT_TRUE(first == second);
   EXPECT_EQ(first.trials, 2u);
 }

@@ -201,8 +201,8 @@ TEST(GridCacheTest, ShardSlicesBypassTheCache) {
 }
 
 TEST(GridCacheTest, ScenarioWarmStartMatchesColdRun) {
-  const auto* scenario =
-      recovery::ScenarioRegistry::Builtin().Find("singlebyte-beyond256");
+  const recovery::Scenario* scenario =
+      recovery::FindScenario(recovery::BuiltinScenarios(), "singlebyte-beyond256");
   ASSERT_NE(scenario, nullptr);
 
   recovery::ScenarioParams params;
@@ -212,11 +212,11 @@ TEST(GridCacheTest, ScenarioWarmStartMatchesColdRun) {
   params.model_keys = 1 << 10;
   params.samples = 1 << 8;
   params.budget = 1 << 8;
-  const auto cold = scenario->Run(params);
+  const auto cold = recovery::RunScenario(*scenario, params);
 
   params.grid_cache = FreshDir("cache-scenario");
-  const auto first = scenario->Run(params);   // populates the cache
-  const auto warm = scenario->Run(params);    // loads the stored grid
+  const auto first = recovery::RunScenario(*scenario, params);  // populates the cache
+  const auto warm = recovery::RunScenario(*scenario, params);   // loads the stored grid
   EXPECT_EQ(first, cold);
   EXPECT_EQ(warm, cold);
 }

@@ -51,6 +51,14 @@ TEST(ModelVictimTest, TscIncrementsAndClassesCycle) {
   }
 }
 
+TEST(ModelVictimDeathTest, ShortPlaintextAbortsInReleaseBuilds) {
+  // NextFrame reads the plaintext up to the model's last position, so a
+  // shorter plaintext must abort in every build type, Release included.
+  TkipTscModel model(5, 8);
+  EXPECT_DEATH(ModelVictimSource(model, Bytes(7, 0), 0, 1),
+               "ModelVictimSource: plaintext of 7 bytes ends before last position 8");
+}
+
 TEST(ModelVictimTest, SampledFrequenciesMatchModel) {
   // One biased cell in one class: capture statistics over many frames must
   // reproduce the bias for that class only.
