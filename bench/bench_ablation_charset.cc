@@ -2,21 +2,18 @@
 // Algorithm 2 / the rank computation to the legal cookie alphabet tightens
 // the required ciphertext count. Compares the 64-character alphabet against
 // the unrestricted 256-value space at several ciphertext counts.
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <numeric>
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/biases/fluhrer_mcgrew.h"
-#include "src/biases/mantin.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/core/likelihood.h"
 #include "src/core/rank.h"
-#include "src/core/synthetic.h"
-#include "src/tls/cookie_attack.h"
+#include "src/sim/cookie_sim.h"
 
 namespace rc4b {
 namespace {
@@ -37,9 +34,10 @@ int Run(int argc, char** argv) {
   const ScaleFlagValues scale_values = GetScaleFlags(flags, scale);
   const int sims = static_cast<int>(scale_values.count);
   const double budget = std::exp2(static_cast<double>(flags.GetInt("attempts-log2")));
-  const size_t alignment = flags.GetUint("alignment");
-  const size_t cookie_len = 16;
-  const uint8_t m1 = '=', m_last = ';';
+  // Defaults: a 16-character cookie between '=' and ';', ABSAB gaps up to 128.
+  sim::CookieSimOptions options;
+  options.alignment = flags.GetUint("alignment");
+  const sim::CookieSimContext context(options);
 
   bench::PrintHeader(
       "bench_ablation_charset",
@@ -48,7 +46,7 @@ int Run(int argc, char** argv) {
       "same likelihoods, same 2^23-attempt budget; the restriction prunes "
       "illegal candidates and lifts the curve");
 
-  const auto alphabet64 = CookieAlphabet64();
+  const auto& alphabet64 = context.alphabet();
   std::vector<uint8_t> alphabet256(256);
   std::iota(alphabet256.begin(), alphabet256.end(), 0);
 
@@ -61,34 +59,18 @@ int Run(int argc, char** argv) {
                    [&](unsigned, uint64_t begin, uint64_t end) {
       for (uint64_t s = begin; s < end; ++s) {
         Xoshiro256 rng(scale_values.seed * 7717 + copies * 131 + s);
-        Bytes truth(cookie_len);
+        Bytes truth(options.cookie_length);
         for (auto& b : truth) {
           b = alphabet64[rng.Below(alphabet64.size())];
         }
-        DoubleByteTables transitions(cookie_len + 1);
-        for (size_t t = 0; t <= cookie_len; ++t) {
-          const uint8_t p1 = t == 0 ? m1 : truth[t - 1];
-          const uint8_t p2 = t == cookie_len ? m_last : truth[t];
-          const uint8_t counter = PrgaCounterAtPosition(alignment + t);
-          const auto counts = SampleCiphertextPairCounts(
-              FmDigraphTable(counter, 1 << 20), p1, p2, trials, rng);
-          transitions[t] = DoubleByteLogLikelihoodSparse(
-              counts, trials, FmSparseModel(counter, 1 << 20));
-          std::vector<double> alphas;
-          for (uint64_t g = (t <= 15 ? 15 - t : 0); g <= 128; ++g) {
-            alphas.push_back(AbsabAlpha(g));
-          }
-          for (uint64_t g = t + 1; g <= 128; ++g) {
-            alphas.push_back(AbsabAlpha(g));
-          }
-          const auto absab = SampleAbsabScoreTable(
-              alphas, trials, static_cast<uint16_t>(p1 << 8 | p2), rng);
-          CombineInPlace(transitions[t], absab);
-        }
+        const auto transitions =
+            sim::SampleCookieTransitions(context, truth, trials, rng);
         const double rank64 =
-            MarkovRank(transitions, m1, m_last, truth, alphabet64).estimate;
+            MarkovRank(transitions, options.m1, options.m_last, truth, alphabet64)
+                .estimate;
         const double rank256 =
-            MarkovRank(transitions, m1, m_last, truth, alphabet256).estimate;
+            MarkovRank(transitions, options.m1, options.m_last, truth, alphabet256)
+                .estimate;
         std::lock_guard<std::mutex> lock(mutex);
         wins64 += rank64 < budget ? 1 : 0;
         wins256 += rank256 < budget ? 1 : 0;

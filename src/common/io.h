@@ -51,9 +51,10 @@ struct IoStatus {
   static IoStatus FromErrno(std::string_view op, std::string_view path);
 };
 
-// Writes `data` to `path` atomically: the bytes land in `path + ".tmp"` and
-// are renamed over `path` only after a successful flush, so readers never
-// observe a partial file. Used for manifests and leases.
+// Writes `data` to `path` atomically through a BinaryWriter: the bytes land
+// in its writer-unique temp file and are renamed over `path` only after a
+// successful flush, so readers never observe a partial file. Used for
+// manifests and leases.
 IoStatus WriteFileAtomic(const std::string& path, std::string_view data);
 
 // True if something exists at `path` (stat succeeds).

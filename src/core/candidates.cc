@@ -104,7 +104,12 @@ LazyCandidateEnumerator::LazyCandidateEnumerator(const SingleByteTables& likelih
   sorted_.resize(length_);
   double best_score = 0.0;
   for (size_t r = 0; r < length_; ++r) {
-    assert(likelihoods[r].size() == 256);
+    if (likelihoods[r].size() != 256) {
+      std::fprintf(stderr,
+                   "Algorithm 1: likelihood table %zu has %zu entries, needs 256\n",
+                   r, likelihoods[r].size());
+      std::abort();
+    }
     sorted_[r].resize(256);
     for (size_t mu = 0; mu < 256; ++mu) {
       sorted_[r][mu] = {likelihoods[r][mu], static_cast<uint8_t>(mu)};

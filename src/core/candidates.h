@@ -41,7 +41,8 @@ using SingleByteTables = std::vector<std::vector<double>>;
 std::vector<Candidate> GenerateCandidatesSingle(const SingleByteTables& likelihoods,
                                                 size_t n);
 
-// Lazy best-first enumeration of the same ordering.
+// Lazy best-first enumeration of the same ordering. Aborts with a message, in
+// every build type, unless every table has 256 entries.
 class LazyCandidateEnumerator {
  public:
   explicit LazyCandidateEnumerator(const SingleByteTables& likelihoods);

@@ -51,30 +51,6 @@ std::vector<uint64_t> SampleCiphertextPairCounts(
   return ciphertext_counts;
 }
 
-std::vector<double> EmpiricalPairProbabilities(const DigraphGrid& grid, size_t row) {
-  const auto counts = grid.Row(row);
-  std::vector<double> probs(counts.size());
-  uint64_t total = 0;
-  for (uint64_t c : counts) {
-    total += c;
-  }
-  // An empty row means the grid was never populated — a caller bug; the
-  // documented contract is a distribution summing to one.
-  assert(total > 0);
-  const double n = total == 0 ? 1.0 : static_cast<double>(total);
-  for (size_t i = 0; i < counts.size(); ++i) {
-    probs[i] = static_cast<double>(counts[i]) / n;
-  }
-  return probs;
-}
-
-std::vector<uint64_t> SampleCiphertextPairCountsFromGrid(
-    const DigraphGrid& grid, size_t row, uint8_t p1, uint8_t p2,
-    uint64_t trials, Xoshiro256& rng) {
-  const auto probs = EmpiricalPairProbabilities(grid, row);
-  return SampleCiphertextPairCounts(probs, p1, p2, trials, rng);
-}
-
 std::vector<double> SampleAbsabScoreTable(std::span<const double> alphas,
                                           uint64_t trials, uint16_t true_diff,
                                           Xoshiro256& rng) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/stats/counters.h"
 
 namespace rc4b {
 
@@ -36,19 +35,6 @@ std::vector<uint64_t> SampleCounts(std::span<const double> probabilities,
 // value (c1 ^ p1, c2 ^ p2).
 std::vector<uint64_t> SampleCiphertextPairCounts(
     std::span<const double> keystream_probs, uint8_t p1, uint8_t p2,
-    uint64_t trials, Xoshiro256& rng);
-
-// Normalized empirical pair distribution from one row of an engine-generated
-// digraph grid (65536 cells summing to one). Lets simulations source their
-// keystream model from measured engine statistics instead of the analytic
-// Fluhrer–McGrew tables.
-std::vector<double> EmpiricalPairProbabilities(const DigraphGrid& grid, size_t row);
-
-// SampleCiphertextPairCounts driven by an engine-generated digraph grid row:
-// the shared hot path between real-dataset statistics and the TKIP/TLS
-// attack simulations.
-std::vector<uint64_t> SampleCiphertextPairCountsFromGrid(
-    const DigraphGrid& grid, size_t row, uint8_t p1, uint8_t p2,
     uint64_t trials, Xoshiro256& rng);
 
 // Aggregated ABSAB score table (Sect. 4.2/4.3): for a set of ABSAB estimates

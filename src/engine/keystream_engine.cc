@@ -77,7 +77,6 @@ struct StreamPlan {
 // `buffer` is one stream row of chunk + lookahead bytes.
 void StreamKeyScalar(Rc4& rc4, StreamShardSink& sink, const StreamPlan& plan,
                      uint8_t* buffer) {
-  sink.BeginKey();
   rc4.Keystream(std::span<uint8_t>(buffer, plan.lookahead));
   for (uint64_t c = 0; c < plan.full_chunks; ++c) {
     rc4.Keystream(std::span<uint8_t>(buffer + plan.lookahead, plan.chunk));
@@ -127,9 +126,6 @@ void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
     kernel.Init(keys, kKeySize);
     if (plan.drop != 0) {
       kernel.Skip(plan.drop);
-    }
-    for (size_t m = 0; m < lanes; ++m) {
-      sink.BeginKey();
     }
     kernel.Keystream(buffer, plan.lookahead, stride);
     for (uint64_t c = 0; c < plan.full_chunks; ++c) {

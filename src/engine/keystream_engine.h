@@ -125,17 +125,13 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
 // every window's base offset within its key is a multiple of chunk_bytes
 // (itself a 256-multiple), but on the lane-kernel path the engine generates
 // kLaneWidth keys in lockstep and round-robins their windows — window w of
-// key k, then window w of key k+1, ... BeginKey() fires once per key, in key
-// order, when the key's lockstep group starts. Sinks that accumulate
-// commutative per-window counters (all current ones) are unaffected; a sink
-// that needs strictly sequential per-key delivery must be run with
-// LongTermEngineOptions::interleave = 1.
+// key k, then window w of key k+1, ... A window does not say which key it
+// came from. Sinks that accumulate commutative per-window counters (all
+// current ones) are unaffected; a sink that needs strictly sequential per-key
+// delivery must be run with LongTermEngineOptions::interleave = 1.
 class StreamShardSink {
  public:
   virtual ~StreamShardSink() = default;
-
-  // Called at the start of each key's stream; `owned` positions restart at 0.
-  virtual void BeginKey() {}
 
   virtual void ConsumeChunk(std::span<const uint8_t> chunk, size_t owned) = 0;
 };

@@ -15,8 +15,9 @@
 // RecoveryEngine owns steps 3-4 and takes only the tables: callers build
 // them with step 2's functions and pass their domain predicate.
 // RecoverTkipTrailer (src/tkip/attack.h) wraps RecoverSingle with the CRC
-// check; the cookie attack calls RecoverDouble with the server oracle; and
-// every scenario in src/recovery/scenario.h runs through this loop.
+// check and RecoverHeaderFields (src/tkip/header_recovery.h) with the IP/TCP
+// checksums; the cookie attack calls RecoverDouble with the server oracle;
+// and every scenario in src/recovery/scenario.h runs through this loop.
 #ifndef SRC_RECOVERY_ENGINE_H_
 #define SRC_RECOVERY_ENGINE_H_
 
@@ -84,8 +85,6 @@ class RecoveryEngine {
                                const VerifyPredicate& verify) const;
 
  private:
-  RecoveryResult Accept(const Candidate& candidate, uint64_t tried) const;
-
   RecoveryOptions options_;
 };
 

@@ -54,7 +54,7 @@ ScenarioOutcome RunScenario(const TkipTrailerScenarioConfig& config,
   outcome.trials = aggregate.trials;
   outcome.budget_wins = aggregate.budget_wins[0];
   outcome.exact_wins = aggregate.two_wins[0];
-  outcome.ranks = aggregate.icv_positions[0];
+  outcome.ranks = aggregate.truth_ranks[0];
   return outcome;
 }
 

@@ -46,7 +46,7 @@ struct ScenarioOutcome {
   uint64_t trials = 0;
   uint64_t budget_wins = 0;  // truth recoverable within the budget
   uint64_t exact_wins = 0;   // truth within the top two candidates
-  // [trial] rank-style metric of the truth (candidate-list position).
+  // [trial] the truth's rank: its position in the candidate list.
   std::vector<double> ranks;
 
   bool operator==(const ScenarioOutcome&) const = default;

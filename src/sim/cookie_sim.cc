@@ -32,8 +32,8 @@ CookieSimContext::CookieSimContext(const CookieSimOptions& options)
   for (size_t t = 0; t < pair_count(); ++t) {
     // The pair's first byte is output at 1-based position alignment + t.
     const uint8_t counter = PrgaCounterAtPosition(options_.alignment + t);
-    fm_models_.push_back(FmSparseModel(counter, options_.fm_r));
-    fm_tables_.push_back(FmDigraphTable(counter, options_.fm_r));
+    fm_models_.push_back(FmSparseModel(counter, 1 << 20));
+    fm_tables_.push_back(FmDigraphTable(counter, 1 << 20));
     alphas_.push_back(
         AbsabAlphasForPair(t, options_.cookie_length, options_.max_gap));
   }

@@ -30,10 +30,9 @@ struct CookieSimOptions {
   // 0-based keystream offset of the first cookie byte, modulo 256; pair t's
   // first byte sits at 1-based PRGA position alignment + t.
   size_t alignment = 48;
-  uint64_t max_gap = 128;   // largest ABSAB gap used (paper: 128)
-  uint64_t fm_r = 1 << 20;  // FM byte-position regime (large = long-term)
-  uint8_t m1 = '=';         // known byte before the cookie value
-  uint8_t m_last = ';';     // known byte after (injected cookie separator)
+  uint64_t max_gap = 128;  // largest ABSAB gap used (paper: 128)
+  uint8_t m1 = '=';        // known byte before the cookie value
+  uint8_t m_last = ';';    // known byte after (injected cookie separator)
   // Brute-force budget: success means rank < attempt_budget (paper: 2^23).
   double attempt_budget = 8388608.0;
   uint64_t trials = 48;  // simulated attacks (the paper runs 256)
@@ -48,8 +47,8 @@ std::vector<double> AbsabAlphasForPair(size_t pair_index, size_t cookie_length,
                                        uint64_t max_gap);
 
 // Per-pair models precomputed once and shared (read-only) by every trial:
-// the FM digraph table / sparse model at each pair's PRGA counter and the
-// usable ABSAB alpha sets.
+// the long-term FM digraph table / sparse model at each pair's PRGA counter
+// and the usable ABSAB alpha sets.
 class CookieSimContext {
  public:
   explicit CookieSimContext(const CookieSimOptions& options);

@@ -114,6 +114,7 @@ TkipSimAggregate RunTkipSimulations(const TkipTscModel& model,
   aggregate.budget_wins.assign(n, 0);
   aggregate.two_wins.assign(n, 0);
   aggregate.icv_positions.assign(n, {});
+  aggregate.truth_ranks.assign(n, {});
   // Fold in trial order: the aggregate is a pure function of (seed, trials),
   // independent of how trials were sharded.
   for (const auto& points : per_trial) {
@@ -121,6 +122,7 @@ TkipSimAggregate RunTkipSimulations(const TkipTscModel& model,
       aggregate.budget_wins[c] += points[c].success_with_budget ? 1 : 0;
       aggregate.two_wins[c] += points[c].success_with_two ? 1 : 0;
       aggregate.icv_positions[c].push_back(points[c].first_icv_position);
+      aggregate.truth_ranks[c].push_back(points[c].truth_rank);
     }
   }
   return aggregate;

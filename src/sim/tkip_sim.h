@@ -96,6 +96,9 @@ struct TkipSimAggregate {
   std::vector<uint64_t> two_wins;     // [checkpoint] success_with_two count
   // [checkpoint][trial] first_icv_position, in trial order (Fig. 9 medians).
   std::vector<std::vector<double>> icv_positions;
+  // [checkpoint][trial] truth_rank, in trial order (the recovery layer's rank
+  // metric).
+  std::vector<std::vector<double>> truth_ranks;
 
   // Field-wise equality: the worker-count bit-exactness checks in tests/sim/
   // and bench_sim_trials compare whole aggregates with this.

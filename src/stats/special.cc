@@ -74,17 +74,9 @@ double ChiSquaredSurvival(double statistic, double df) {
   return RegularizedGammaQ(df / 2.0, statistic / 2.0);
 }
 
-double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
-
-double NormalSurvival(double z) { return 0.5 * std::erfc(z / std::sqrt(2.0)); }
-
 double TwoSidedNormalPValue(double z) {
   const double p = std::erfc(std::fabs(z) / std::sqrt(2.0));
   return p > 1.0 ? 1.0 : p;
-}
-
-double LogBinomialCoefficient(double n, double k) {
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
 }
 
 }  // namespace rc4b

@@ -1,7 +1,6 @@
 // Special functions backing the hypothesis tests in Sect. 3.1: regularized
-// incomplete gamma (chi-squared tail), normal distribution tails, and
-// log-binomial helpers. Implemented from the standard series / continued
-// fraction expansions.
+// incomplete gamma (chi-squared tail) and the two-sided normal tail.
+// Implemented from the standard series / continued fraction expansions.
 #ifndef SRC_STATS_SPECIAL_H_
 #define SRC_STATS_SPECIAL_H_
 
@@ -14,15 +13,8 @@ double RegularizedGammaQ(double a, double x);
 // Chi-squared survival function with `df` degrees of freedom.
 double ChiSquaredSurvival(double statistic, double df);
 
-// Standard normal CDF and survival function.
-double NormalCdf(double z);
-double NormalSurvival(double z);
-
 // Two-sided normal p-value: 2 * P[|Z| >= |z|].
 double TwoSidedNormalPValue(double z);
-
-// log(n choose k) via lgamma.
-double LogBinomialCoefficient(double n, double k);
 
 }  // namespace rc4b
 

@@ -130,15 +130,4 @@ std::vector<double> HolmAdjust(std::span<const double> p_values) {
   return adjusted;
 }
 
-std::vector<size_t> HolmReject(std::span<const double> p_values, double alpha) {
-  const auto adjusted = HolmAdjust(p_values);
-  std::vector<size_t> rejected;
-  for (size_t i = 0; i < adjusted.size(); ++i) {
-    if (adjusted[i] <= alpha) {
-      rejected.push_back(i);
-    }
-  }
-  return rejected;
-}
-
 }  // namespace rc4b

@@ -50,9 +50,6 @@ TestResult ProportionTest(uint64_t successes, uint64_t trials, double p0);
 // reject hypothesis i at FWER alpha iff adjusted[i] <= alpha.
 std::vector<double> HolmAdjust(std::span<const double> p_values);
 
-// Convenience: indices rejected at `alpha` after Holm adjustment.
-std::vector<size_t> HolmReject(std::span<const double> p_values, double alpha);
-
 }  // namespace rc4b
 
 #endif  // SRC_STATS_TESTS_H_

@@ -1,6 +1,8 @@
 #include "src/tkip/header_recovery.h"
 
-#include <cassert>
+#include <utility>
+
+#include "src/recovery/engine.h"
 
 namespace rc4b {
 
@@ -32,28 +34,34 @@ HeaderRecoveryResult RecoverHeaderFields(const Bytes& template_msdu,
                                          const SingleByteTables& likelihoods,
                                          uint64_t max_candidates) {
   const auto positions = UnknownHeaderLayout::Positions();
-  assert(likelihoods.size() == positions.size());
-  assert(template_msdu.size() >= 48);
-
   HeaderRecoveryResult result;
-  Bytes msdu = template_msdu;
-  LazyCandidateEnumerator enumerator(likelihoods);
-  for (uint64_t n = 0; n < max_candidates; ++n) {
-    const Candidate candidate = enumerator.Next();
-    for (size_t i = 0; i < positions.size(); ++i) {
-      msdu[positions[i]] = candidate.plaintext[i];
-    }
-    if (!HeaderChecksumsValid(msdu)) {
-      continue;
-    }
-    result.found = true;
-    result.candidates_tried = n + 1;
-    result.ttl = msdu[UnknownHeaderLayout::kTtl];
-    result.client_address = LoadBe32(msdu.data() + UnknownHeaderLayout::kClientAddress);
-    result.client_port = LoadBe16(msdu.data() + UnknownHeaderLayout::kClientPort);
-    result.msdu = msdu;
+  // Checked in every build: both are indexed below.
+  if (likelihoods.size() != positions.size() || template_msdu.size() < 48) {
     return result;
   }
+
+  // The unified recovery loop (src/recovery/engine.h) with the checksum
+  // predicate. The traversal stops on the accepted candidate, so `msdu`
+  // holds it patched in afterwards.
+  Bytes msdu = template_msdu;
+  recovery::RecoveryOptions options;
+  options.max_candidates = max_candidates;
+  const auto recovered = recovery::RecoveryEngine(std::move(options))
+                             .RecoverSingle(likelihoods, [&](const Bytes& fields) {
+                               for (size_t i = 0; i < positions.size(); ++i) {
+                                 msdu[positions[i]] = fields[i];
+                               }
+                               return HeaderChecksumsValid(msdu);
+                             });
+  result.candidates_tried = recovered.candidates_tried;
+  if (!recovered.found) {
+    return result;
+  }
+  result.found = true;
+  result.ttl = msdu[UnknownHeaderLayout::kTtl];
+  result.client_address = LoadBe32(msdu.data() + UnknownHeaderLayout::kClientAddress);
+  result.client_port = LoadBe16(msdu.data() + UnknownHeaderLayout::kClientPort);
+  result.msdu = std::move(msdu);
   return result;
 }
 

@@ -47,8 +47,10 @@ struct HeaderRecoveryResult {
 // (everything else — addresses the attacker controls, payload, lengths — is
 // known). `likelihoods` has one 256-entry table per unknown position, in
 // UnknownHeaderLayout::Positions() order. Candidates are enumerated in
-// decreasing likelihood; a candidate is accepted when both the IP header
-// checksum and the TCP checksum validate.
+// decreasing likelihood (RecoveryEngine::RecoverSingle); a candidate is
+// accepted when both the IP header checksum and the TCP checksum validate.
+// A table count other than Positions().size() or a template shorter than 48
+// bytes yields an empty result.
 HeaderRecoveryResult RecoverHeaderFields(const Bytes& template_msdu,
                                          const SingleByteTables& likelihoods,
                                          uint64_t max_candidates);

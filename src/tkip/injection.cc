@@ -100,23 +100,6 @@ bool TkipCaptureStats::AddFrame(const TkipFrame& frame) {
   return true;
 }
 
-void TkipCaptureStats::Merge(const TkipCaptureStats& other) {
-  // Load-bearing: a different range would read past other.counts_.
-  if (first_position_ != other.first_position_ ||
-      last_position_ != other.last_position_) {
-    std::fprintf(stderr,
-                 "TkipCaptureStats::Merge: positions [%zu, %zu] do not match "
-                 "[%zu, %zu]\n",
-                 other.first_position_, other.last_position_, first_position_,
-                 last_position_);
-    std::abort();
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  frames_ += other.frames_;
-}
-
 TkipInjectionSource::TkipInjectionSource(TkipPeer peer, Bytes msdu, uint64_t initial_tsc)
     : peer_(std::move(peer)), msdu_(std::move(msdu)), tsc_(initial_tsc) {
   plaintext_ = msdu_;

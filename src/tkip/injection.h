@@ -41,8 +41,6 @@ class TkipCaptureStats {
                                 256;
   }
 
-  void Merge(const TkipCaptureStats& other);
-
  private:
   size_t first_position_;
   size_t last_position_;

@@ -257,6 +257,13 @@ TEST(Algorithm2Test, ScoresMatchPlaintextEvaluation) {
   }
 }
 
+TEST(LazyEnumeratorDeathTest, RejectsShortTablesInEveryBuild) {
+  SingleByteTables tables(3, std::vector<double>(256, 0.0));
+  tables[1].resize(255);
+  EXPECT_DEATH(LazyCandidateEnumerator{tables},
+               "Algorithm 1: likelihood table 1 has 255 entries, needs 256");
+}
+
 TEST(Algorithm2DeathTest, RejectsBadInputsInEveryBuild) {
   const std::vector<uint8_t> alphabet = {'a', 'b'};
   EXPECT_DEATH(LazyDoubleCandidateEnumerator(RandomTransitions(1, 14), 'S', 'E', alphabet),

@@ -73,37 +73,6 @@ TEST(SampleCountsTest, BiasedCellElevated) {
 // The sampler must agree with exact real-RC4 simulation: compare the
 // distribution of FM-digraph ciphertext counts from (a) real RC4 long-term
 // keystream and (b) the synthetic sampler, via their likelihood decisions.
-TEST(EmpiricalGridTest, ProbabilitiesNormalizeGridRow) {
-  DigraphGrid grid(1);
-  grid.Add(0, 3, 7, 60);
-  grid.Add(0, 200, 1, 40);
-  grid.AddKeys(100);
-  const auto probs = EmpiricalPairProbabilities(grid, 0);
-  ASSERT_EQ(probs.size(), 65536u);
-  EXPECT_DOUBLE_EQ(probs[static_cast<size_t>(3) * 256 + 7], 0.6);
-  EXPECT_DOUBLE_EQ(probs[static_cast<size_t>(200) * 256 + 1], 0.4);
-  EXPECT_DOUBLE_EQ(std::accumulate(probs.begin(), probs.end(), 0.0), 1.0);
-}
-
-TEST(EmpiricalGridTest, CiphertextCountsFollowXorShiftedGridRow) {
-  // All keystream mass on (k1, k2) = (3, 7): every sampled ciphertext count
-  // must land on (3 ^ p1, 7 ^ p2).
-  DigraphGrid grid(1);
-  grid.Add(0, 3, 7, 1000);
-  grid.AddKeys(1000);
-  Xoshiro256 rng(29);
-  const uint8_t p1 = 0x41, p2 = 0x42;
-  const auto counts = SampleCiphertextPairCountsFromGrid(grid, 0, p1, p2, 10000, rng);
-  ASSERT_EQ(counts.size(), 65536u);
-  const size_t target = static_cast<size_t>(3 ^ p1) * 256 + (7 ^ p2);
-  EXPECT_GT(counts[target], 9000u);
-  for (size_t cell = 0; cell < counts.size(); ++cell) {
-    if (cell != target) {
-      ASSERT_EQ(counts[cell], 0u) << "cell " << cell;
-    }
-  }
-}
-
 TEST(SyntheticVsExactTest, FmCountsMatchRealRc4Statistics) {
   const uint8_t p1 = 0x11, p2 = 0x22;
   // Real side: collect digraph counts at a fixed counter i across keystream

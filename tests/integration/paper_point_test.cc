@@ -57,41 +57,23 @@ TEST(PaperPointTest, Fig7CombinedRecoversPairAt2To34) {
 }
 
 TEST(PaperPointTest, Fig10CookieWithinBruteForceBudgetAt15x2To27) {
-  const auto alphabet = CookieAlphabet64();
-  const size_t cookie_len = 16;
-  const uint8_t m1 = '=', m_last = ';';
+  // Defaults: a 16-character cookie at alignment 48 between '=' and ';'.
+  const sim::CookieSimContext context(sim::CookieSimOptions{});
+  const auto& options = context.options();
+  const auto& alphabet = context.alphabet();
   const uint64_t trials = uint64_t{15} << 27;
-  const size_t alignment = 48;
 
   int wins = 0;
   const int sims = 6;
   for (int s = 0; s < sims; ++s) {
     Xoshiro256 rng(900 + s);
-    Bytes truth(cookie_len);
+    Bytes truth(options.cookie_length);
     for (auto& b : truth) {
       b = alphabet[rng.Below(alphabet.size())];
     }
-    DoubleByteTables transitions(cookie_len + 1);
-    for (size_t t = 0; t <= cookie_len; ++t) {
-      const uint8_t p1 = t == 0 ? m1 : truth[t - 1];
-      const uint8_t p2 = t == cookie_len ? m_last : truth[t];
-      const uint8_t counter = PrgaCounterAtPosition(alignment + t);
-      const auto counts = SampleCiphertextPairCounts(
-          FmDigraphTable(counter, 1 << 20), p1, p2, trials, rng);
-      transitions[t] = DoubleByteLogLikelihoodSparse(
-          counts, trials, FmSparseModel(counter, 1 << 20));
-      std::vector<double> alphas;
-      for (uint64_t g = (t <= 15 ? 15 - t : 0); g <= 128; ++g) {
-        alphas.push_back(AbsabAlpha(g));
-      }
-      for (uint64_t g = t + 1; g <= 128; ++g) {
-        alphas.push_back(AbsabAlpha(g));
-      }
-      const auto absab = SampleAbsabScoreTable(
-          alphas, trials, static_cast<uint16_t>(p1 << 8 | p2), rng);
-      CombineInPlace(transitions[t], absab);
-    }
-    const auto bracket = MarkovRank(transitions, m1, m_last, truth, alphabet);
+    const auto transitions = sim::SampleCookieTransitions(context, truth, trials, rng);
+    const auto bracket =
+        MarkovRank(transitions, options.m1, options.m_last, truth, alphabet);
     wins += bracket.estimate < std::exp2(23) ? 1 : 0;
   }
   // Fig. 10: ~94% success at 9 x 2^27 already; at 15 x 2^27 essentially all.

@@ -108,13 +108,18 @@ TEST(ScenarioDeterminismTest, PayloadVariantShiftsTheTrailerPositions) {
   // The long-payload variant must still run end-to-end (its model and stats
   // cover deeper keystream positions) and be deterministic at a fixed seed.
   const Scenario* scenario = FindScenario(BuiltinScenarios(), "tkip-trailer-long16");
+  const Scenario* base = FindScenario(BuiltinScenarios(), "tkip-trailer");
   ASSERT_NE(scenario, nullptr);
+  ASSERT_NE(base, nullptr);
   ScenarioParams params = TinyParams();
   params.trials = 2;
   const auto first = RunScenario(*scenario, params);
   const auto second = RunScenario(*scenario, params);
   EXPECT_TRUE(first == second);
   EXPECT_EQ(first.trials, 2u);
+  // Regression: the ranks are the truth's, not the CRC false-hit draw both
+  // variants share at a fixed seed.
+  EXPECT_NE(RunScenario(*base, params).ranks, first.ranks);
 }
 
 }  // namespace

@@ -148,14 +148,6 @@ TEST(TkipAttackDeathTest, SetRowRejectsBadPositionOrSize) {
   EXPECT_DEATH(model.SetRow(0, 10, short_row), "SetRow: position 10 with 255");
 }
 
-TEST(TkipAttackDeathTest, MergeRejectsMismatchedPositionRanges) {
-  TkipCaptureStats stats(10, 21);
-  EXPECT_DEATH(stats.Merge(TkipCaptureStats(10, 22)),
-               "Merge: positions \\[10, 22\\] do not match \\[10, 21\\]");
-  EXPECT_DEATH(stats.Merge(TkipCaptureStats(11, 21)),
-               "Merge: positions \\[11, 21\\] do not match \\[10, 21\\]");
-}
-
 TEST(TkipAttackTest, CaptureStatsRejectShortFrames) {
   TkipCaptureStats stats(10, 21);
   TkipFrame frame;

@@ -98,6 +98,24 @@ TEST(HeaderRecoveryTest, FailsGracefullyWithinBudget) {
   }
   const auto result = RecoverHeaderFields(tmpl, tables, 256);
   EXPECT_FALSE(result.found);
+  // Regression: a failed traversal must report how many candidates it
+  // actually tried, not 0.
+  EXPECT_EQ(result.candidates_tried, 256u);
+}
+
+TEST(HeaderRecoveryTest, RejectsWrongTableCountAndShortTemplate) {
+  // Regression: both cases used to be assert-only and indexed out of bounds
+  // in Release builds.
+  const Bytes tmpl = TemplateWithUnknownsZeroed(VictimPacket(64, 0xc0a80107, 50001));
+  const SingleByteTables short_tables(3, std::vector<double>(256, 0.0));
+  auto result = RecoverHeaderFields(tmpl, short_tables, 16);
+  EXPECT_FALSE(result.found);
+  EXPECT_EQ(result.candidates_tried, 0u);
+
+  const SingleByteTables tables(UnknownHeaderLayout::Positions().size(),
+                                std::vector<double>(256, 0.0));
+  result = RecoverHeaderFields(Bytes(tmpl.begin(), tmpl.begin() + 47), tables, 16);
+  EXPECT_FALSE(result.found);
   EXPECT_EQ(result.candidates_tried, 0u);
 }
 

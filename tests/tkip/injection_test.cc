@@ -87,21 +87,6 @@ TEST(CaptureStatsTest, CountsAccumulatePerTsc1) {
   EXPECT_EQ(empty_total, 0u);
 }
 
-TEST(CaptureStatsTest, MergeAddsCounts) {
-  const TkipPeer peer = TestPeer(5);
-  const Bytes msdu = InjectedPacket();
-  TkipCaptureStats a(56, 67), b(56, 67);
-  TkipInjectionSource source(peer, msdu, 0);
-  for (int i = 0; i < 100; ++i) {
-    a.AddFrame(source.NextFrame());
-  }
-  for (int i = 0; i < 50; ++i) {
-    b.AddFrame(source.NextFrame());
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.frames(), 150u);
-}
-
 TEST(CaptureStatsTest, PositionsAreOneBased) {
   const TkipPeer peer = TestPeer(6);
   const Bytes msdu = InjectedPacket();
