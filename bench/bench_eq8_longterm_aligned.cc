@@ -25,7 +25,7 @@ int Run(int argc, char** argv) {
   }
 
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  LongTermOptions options;
+  LongTermEngineOptions options;
   options.keys = keys;
   options.bytes_per_key = flags.GetUint("bytes-per-key");
   options.workers = workers;

@@ -9,9 +9,9 @@
 
 #include "bench/harness.h"
 #include "src/biases/bias_scan.h"
-#include "src/biases/dataset.h"
 #include "src/biases/fluhrer_mcgrew.h"
 #include "src/common/flags.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -44,18 +44,19 @@ int Run(int argc, char** argv) {
   const size_t positions = flags.GetUint("positions");
   const size_t window = flags.GetUint("window");
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  DatasetOptions options;
-  options.keys = keys;
-  options.workers = workers;
-  options.seed = seed;
-  options.cache_dir = flags.GetString("grid-cache");
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kConsecutive;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = positions;
 
   bench::PrintHeader("bench_fig4_fm_shortterm",
                      "Fig. 4 (FM digraphs vs expected single-byte probability)",
                      "per-window mean relative bias q; expect convergence "
                      "toward the long-term Table 1 values after position 257");
 
-  const auto grid = GenerateConsecutiveDataset(positions, options);
+  const auto grid = store::ToDigraphGrid(
+      store::LoadOrGenerateGrid(meta, workers, flags.GetString("grid-cache")));
 
   static const Family kFamilies[] = {
       {"(0,0)", [](int i) { return i == 255 ? -1 : 0; }, 0x1.0p-8},
@@ -106,7 +107,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("\n(noise per window ~ %.5f at these key counts; increase --keys "
               "to sharpen)\n",
-              1.0 / std::sqrt(static_cast<double>(options.keys) / 65536.0 *
+              1.0 / std::sqrt(static_cast<double>(keys) / 65536.0 *
                               static_cast<double>(window)));
   return 0;
 }

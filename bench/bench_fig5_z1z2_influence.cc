@@ -7,8 +7,8 @@
 
 #include "bench/harness.h"
 #include "src/biases/bias_scan.h"
-#include "src/biases/dataset.h"
 #include "src/common/flags.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -30,10 +30,6 @@ int Run(int argc, char** argv) {
   const uint32_t max_position = static_cast<uint32_t>(flags.GetUint("max-position"));
   const size_t window = flags.GetUint("window");
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  DatasetOptions options;
-  options.keys = keys;
-  options.workers = workers;
-  options.seed = seed;
 
   bench::PrintHeader("bench_fig5_z1z2_influence",
                      "Fig. 5 (six Z1/Z2-induced bias families) + Sect. 3.3.2 "
@@ -52,7 +48,13 @@ int Run(int argc, char** argv) {
   }
   const size_t z1z2_row = pairs.size();
   pairs.emplace_back(1, 2);
-  const auto grid = GeneratePairDataset(pairs, options);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kPair;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = pairs.size();
+  meta.pairs = pairs;
+  const auto grid = store::ToDigraphGrid(store::LoadOrGenerateGrid(meta, workers, ""));
 
   struct Band {
     double sum[6] = {0, 0, 0, 0, 0, 0};
@@ -106,7 +108,7 @@ int Run(int argc, char** argv) {
     std::printf("  %-26s %+10.5f\n", kPairNames[f], sums[f] / used);
   }
   std::printf("\n(per-band noise ~ %.5f; paper magnitudes 2^-11..2^-7)\n",
-              1.0 / std::sqrt(static_cast<double>(options.keys) / 65536.0 *
+              1.0 / std::sqrt(static_cast<double>(keys) / 65536.0 *
                               static_cast<double>(window)));
   return 0;
 }

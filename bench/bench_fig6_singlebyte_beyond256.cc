@@ -8,8 +8,8 @@
 
 #include "bench/harness.h"
 #include "src/biases/bias_scan.h"
-#include "src/biases/dataset.h"
 #include "src/common/flags.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -31,19 +31,20 @@ int Run(int argc, char** argv) {
   }
 
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  DatasetOptions options;
-  options.keys = keys;
-  options.workers = workers;
-  options.seed = seed;
-  options.cache_dir = flags.GetString("grid-cache");
   const size_t positions = flags.GetUint("positions");
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kSingleByte;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = positions;
 
   bench::PrintHeader("bench_fig6_singlebyte_beyond256",
                      "Fig. 6 (single-byte distributions past position 256) and "
                      "the Z_{256+16k} = 32k key-length biases",
                      "");
 
-  const auto grid = GenerateSingleByteDataset(positions, options);
+  const auto grid = store::ToSingleByteGrid(
+      store::LoadOrGenerateGrid(meta, workers, flags.GetString("grid-cache")));
   const double n = static_cast<double>(grid.keys());
   const double sigma = std::sqrt((1.0 / 256) * (1 - 1.0 / 256) / n);
 

@@ -1,8 +1,11 @@
 // Fig. 8 — probability of recovering the TKIP MIC key vs the number of
 // captured copies of the injected packet, with a ~2^30-candidate traversal
-// and with only the two best candidates. Uses real TKIP key mixing + RC4 per
-// packet; the candidate-list position of the true trailer is estimated by
-// the rank DP (materializing 2^30 candidates is infeasible).
+// and with only the two best candidates. By default (--oracle true) the
+// victim is the perfect-model limit: its trailer keystream is drawn from the
+// attacker's per-TSC1 model (see src/sim/tkip_sim.h); --oracle false runs
+// real TKIP key mixing + RC4 per packet instead. The candidate-list position
+// of the true trailer is estimated by the rank DP (materializing 2^30
+// candidates is infeasible).
 // Trials run on the src/sim/ subsystem: results are bit-exact for any
 // --workers value (docs/sim.md).
 #include <cstdio>

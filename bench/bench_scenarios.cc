@@ -90,7 +90,7 @@ int Run(int argc, char** argv) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
             .count();
-    std::printf("%-24s %8llu %11.1f%% %11.1f%% %14.0f %8.2f\n",
+    std::printf("%-24s %8llu %11.1f%% %11.1f%% %14.3g %8.2f\n",
                 scenario.name.c_str(),
                 static_cast<unsigned long long>(outcome.trials),
                 100.0 * static_cast<double>(outcome.budget_wins) /

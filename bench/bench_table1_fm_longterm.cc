@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/biases/dataset.h"
 #include "src/biases/fluhrer_mcgrew.h"
 #include "src/common/flags.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -32,15 +32,18 @@ int Run(int argc, char** argv) {
   }
 
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  LongTermOptions options;
-  options.keys = keys;
-  options.bytes_per_key = flags.GetUint("bytes-per-key");
-  options.workers = workers;
-  options.seed = seed;
-  options.cache_dir = flags.GetString("grid-cache");
+  // Row p counts digraphs (Z_r, Z_{r+1}) with p = (r - 1) mod 256; the
+  // paper drops the initial 1023 bytes, we drop 1024.
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kLongTermDigraph;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = 256;
+  meta.drop = 1024;
+  meta.bytes_per_key = flags.GetUint("bytes-per-key");
 
   const double total_samples =
-      static_cast<double>(options.keys) * static_cast<double>(options.bytes_per_key);
+      static_cast<double>(keys) * static_cast<double>(meta.bytes_per_key);
   bench::PrintHeader(
       "bench_table1_fm_longterm",
       "Table 1 (Fluhrer-McGrew digraph probabilities, long-term regime)",
@@ -48,7 +51,8 @@ int Run(int argc, char** argv) {
           "M digraphs (paper: ~2^52); relative biases are 2^-8-scale, so "
           "z-scores grow with --keys/--bytes-per-key");
 
-  const auto grid = GenerateLongTermDigraphDataset(options);
+  const auto grid = store::ToDigraphGrid(
+      store::LoadOrGenerateGrid(meta, workers, flags.GetString("grid-cache")));
 
   // Pool each digraph class over all counters i where Table 1 applies.
   struct Pool {
@@ -62,7 +66,7 @@ int Run(int argc, char** argv) {
     for (const FmDigraph& d : FmDigraphsAt(static_cast<uint8_t>(i), long_r)) {
       Pool& pool = pools[d.name];
       pool.expected_relative = d.relative_bias;
-      // Row index row corresponds to counter i = row + 1 (see dataset.h);
+      // Row index row corresponds to counter i = row + 1 (see above);
       // invert: row = i - 1 mod 256.
       const size_t row = static_cast<size_t>((i + 255) % 256);
       pool.count += grid.Count(row, d.v1, d.v2);

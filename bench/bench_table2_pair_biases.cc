@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/biases/dataset.h"
 #include "src/common/flags.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -95,12 +95,6 @@ int Run(int argc, char** argv) {
   }
 
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  DatasetOptions options;
-  options.keys = keys;
-  options.workers = workers;
-  options.seed = seed;
-  options.cache_dir = flags.GetString("grid-cache");
-
   bench::PrintHeader("bench_table2_pair_biases",
                      "Table 2 and eqs (2)-(5) (biases between keystream bytes)",
                      "");
@@ -112,7 +106,14 @@ int Run(int argc, char** argv) {
   for (const auto& e : kEqualities) {
     pairs.emplace_back(e.pos1, e.pos2);
   }
-  const auto grid = GeneratePairDataset(pairs, options);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kPair;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = pairs.size();
+  meta.pairs = pairs;
+  const auto grid = store::ToDigraphGrid(
+      store::LoadOrGenerateGrid(meta, workers, flags.GetString("grid-cache")));
   const double n = static_cast<double>(grid.keys());
 
   std::printf("%-20s %12s %12s %8s %s\n", "pair", "measured", "paper", "z",

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "src/biases/bias_scan.h"
-#include "src/biases/dataset.h"
 #include "src/common/flags.h"
+#include "src/store/grid_cache.h"
 
 using namespace rc4b;
 
@@ -28,15 +28,17 @@ int main(int argc, char** argv) {
   }
 
   const auto [keys, workers, seed] = GetScaleFlags(flags, scale);
-  DatasetOptions options;
-  options.keys = keys;
-  options.workers = workers;
-  options.seed = seed;
   const size_t positions = flags.GetUint("positions");
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kConsecutive;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = positions;
 
   std::printf("sampling %llu keys, positions 1..%zu...\n",
-              static_cast<unsigned long long>(options.keys), positions + 1);
-  const auto digraphs = GenerateConsecutiveDataset(positions, options);
+              static_cast<unsigned long long>(keys), positions + 1);
+  const auto digraphs =
+      store::ToDigraphGrid(store::LoadOrGenerateGrid(meta, workers, ""));
 
   // Single-byte uniformity scan (aggregating the digraph grid, formula 6).
   std::printf("\n-- single-byte uniformity (chi-squared + Holm) --\n");

@@ -9,12 +9,12 @@
 #include <cstdio>
 
 #include "src/biases/bias_scan.h"
-#include "src/biases/dataset.h"
 #include "src/common/rng.h"
 #include "src/core/candidates.h"
 #include "src/core/likelihood.h"
 #include "src/rc4/rc4.h"
 #include "src/stats/tests.h"
+#include "src/store/grid_cache.h"
 
 using namespace rc4b;
 
@@ -22,10 +22,13 @@ int main() {
   // --- 1. RC4 and the Mantin-Shamir bias -------------------------------
   std::printf("== 1. The second keystream byte is biased toward zero ==\n");
   const uint64_t keys = 1 << 18;
-  DatasetOptions options;
-  options.keys = keys;
-  options.seed = 42;
-  const SingleByteGrid grid = GenerateSingleByteDataset(2, options);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kSingleByte;
+  meta.seed = 42;
+  meta.key_end = keys;
+  meta.rows = 2;
+  const SingleByteGrid grid =
+      store::ToSingleByteGrid(store::LoadOrGenerateGrid(meta, 0, ""));
   std::printf("Pr[Z2 = 0] over %llu random 128-bit keys: %.5f (uniform: %.5f)\n",
               static_cast<unsigned long long>(keys), grid.Probability(1, 0),
               1.0 / 256);

@@ -19,7 +19,7 @@ namespace {
 // writers of the same destination interleave bytes in one temp file and
 // rename a torn image into place; with a (pid, counter) suffix each writer
 // owns its temp file outright (tests/store/concurrency_stress_test.cc races
-// GridCache fills to pin this down).
+// grid cache fills to pin this down).
 std::string UniqueTmpPath(const std::string& path) {
   static std::atomic<uint64_t> counter{0};
   return path + ".tmp." + std::to_string(::getpid()) + "." +

@@ -67,7 +67,7 @@ IoStatus MakeDirs(const std::string& path);
 // Binary writer with atomic commit: all writes go to a writer-unique temp
 // file next to `path`; Commit() flushes and renames onto `path`. The temp
 // name embeds the pid and a process-wide counter so concurrent writers
-// targeting the same destination (e.g. two GridCache fills racing on one
+// targeting the same destination (e.g. two grid cache fills racing on one
 // cache entry) never interleave bytes in a shared temp file — each commits
 // its own complete image and the last rename wins. A writer destroyed
 // without Commit() deletes its temp file and leaves the destination as it

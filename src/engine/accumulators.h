@@ -1,6 +1,6 @@
 // Concrete BiasAccumulator / StreamAccumulator implementations feeding the
 // grids in src/stats/counters.h. These are the engine-side halves of every
-// dataset in src/biases/dataset.h:
+// grid kind in src/store/grid_file.h and of src/biases/dataset.h:
 //
 //   short-term (RunKeystreamEngine)        long-term (RunLongTermEngine)
 //   ------------------------------------   ---------------------------------
@@ -83,9 +83,9 @@ class PairAccumulator : public BiasAccumulator {
   DigraphGrid grid_;
 };
 
-// Long-term digraphs (Z_r, Z_{r+1}) bucketed by (r - 1) mod 256 — row layout
-// identical to GenerateLongTermDigraphDataset. grid().keys() counts digraph
-// samples per row.
+// Long-term digraphs (Z_r, Z_{r+1}) bucketed by (r - 1) mod 256 — the row
+// layout of a longterm-digraph grid (store::GridKind::kLongTermDigraph).
+// grid().keys() counts digraph samples per row.
 class LongTermDigraphAccumulator : public StreamAccumulator {
  public:
   LongTermDigraphAccumulator() : grid_(256) {}

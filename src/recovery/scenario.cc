@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/biases/dataset.h"
 #include "src/core/likelihood.h"
 #include "src/core/rank.h"
 #include "src/core/synthetic.h"
@@ -10,6 +9,7 @@
 #include "src/sim/cookie_sim.h"
 #include "src/sim/runner.h"
 #include "src/sim/tkip_sim.h"
+#include "src/store/grid_cache.h"
 #include "src/tls/cookie_attack.h"
 
 namespace rc4b::recovery {
@@ -95,12 +95,13 @@ ScenarioOutcome RunScenario(const SingleByteScenarioConfig& config,
 
   // Attacker model: per-position keystream distributions measured with the
   // sharded engine (worker-count invariant, docs/engine.md).
-  DatasetOptions dataset;
-  dataset.keys = OrDefault(params.model_keys, config.default_model_keys);
-  dataset.workers = params.workers;
-  dataset.seed = sim::TrialSeed(params.seed, kModelStream);
-  dataset.cache_dir = params.grid_cache;
-  const SingleByteGrid grid = GenerateSingleByteDataset(last, dataset);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kSingleByte;
+  meta.seed = sim::TrialSeed(params.seed, kModelStream);
+  meta.key_end = OrDefault(params.model_keys, config.default_model_keys);
+  meta.rows = last;
+  const SingleByteGrid grid = store::ToSingleByteGrid(
+      store::LoadOrGenerateGrid(meta, params.workers, params.grid_cache));
 
   std::vector<std::vector<double>> probs(length);
   std::vector<std::vector<double>> log_model(length);

@@ -34,7 +34,7 @@ struct ScenarioParams {
   uint64_t budget = 0;      // candidate / brute-force attempt budget
   uint64_t model_keys = 0;  // attacker-model scale (keys per class / total)
   // When set, engine-backed scenarios warm-start their attacker-model grids
-  // from this store::GridCache directory (docs/store.md) instead of
+  // from this grid cache directory (docs/store.md) instead of
   // regenerating each run. Cached and fresh grids are bit-identical, so
   // outcomes do not depend on this field.
   std::string grid_cache;

@@ -237,8 +237,22 @@ IoStatus ValidateMeta(const GridMeta& meta, const std::string& context) {
   } else if (!meta.pairs.empty()) {
     return IoStatus::Fail(context + ": non-pair grid carries a pair list");
   }
-  if (meta.kind == GridKind::kLongTermDigraph && meta.bytes_per_key == 0) {
-    return IoStatus::Fail(context + ": long-term grid without bytes_per_key");
+  if (meta.kind == GridKind::kLongTermDigraph) {
+    if (meta.bytes_per_key == 0) {
+      return IoStatus::Fail(context + ": long-term grid without bytes_per_key");
+    }
+    // One row per PRGA counter class; the accumulator writes all 256.
+    if (meta.rows != 256) {
+      return IoStatus::Fail(context + ": long-term grid with " +
+                            std::to_string(meta.rows) + " rows (must be 256)");
+    }
+    // Rows are (r - 1) mod 256 only when every key's first counted byte
+    // sits at a 256-byte boundary of its keystream.
+    if (meta.drop % 256 != 0) {
+      return IoStatus::Fail(context + ": long-term grid with drop " +
+                            std::to_string(meta.drop) +
+                            " (must be a multiple of 256)");
+    }
   }
   return IoStatus::Ok();
 }

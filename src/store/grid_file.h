@@ -43,12 +43,17 @@ namespace rc4b::store {
 inline constexpr uint64_t kGridFileMagic = 0x3144495247423452ULL;  // "R4BGRID1"
 inline constexpr uint64_t kGridFormatVersion = 1;
 
-// The dataset families of src/biases/dataset.h that produce grids.
+// The keystream-statistics families that produce grids. The paper's
+// datasets (Sect. 3.2) are consec512 (kConsecutive, r <= 512, 2^45 keys),
+// first16 (kPair, a <= 16, b <= 256, 2^44 keys) and a long-term set
+// (kLongTermDigraph, 2^40 bytes per key, 2^12 keys), built on a ~80-machine
+// cluster; a GridMeta describes any of them at a configurable scale.
 enum class GridKind : uint64_t {
-  kSingleByte = 1,       // GenerateSingleByteDataset (rows x 256 cells)
-  kConsecutive = 2,      // GenerateConsecutiveDataset (rows x 65536)
-  kPair = 3,             // GeneratePairDataset (rows == pairs.size(), x 65536)
-  kLongTermDigraph = 4,  // GenerateLongTermDigraphDataset (256 x 65536)
+  kSingleByte = 1,       // Z_r, 1 <= r <= rows (rows x 256 cells)
+  kConsecutive = 2,      // (Z_r, Z_{r+1}), 1 <= r <= rows (rows x 65536)
+  kPair = 3,             // (Z_a, Z_b) per pair (rows == pairs.size(), x 65536)
+  kLongTermDigraph = 4,  // (Z_r, Z_{r+1}) by (r - 1) mod 256 after `drop`
+                         // bytes, over bytes_per_key bytes (256 x 65536)
 };
 
 // Counter cells per grid row: 256 for single-byte grids, 65536 for digraphs.
@@ -79,7 +84,8 @@ struct GridMeta {
 };
 
 // Internal consistency: nonzero rows, ordered key range, pairs iff kPair,
-// and every pair (a, b) satisfies 1 <= a < b.
+// every pair (a, b) satisfies 1 <= a < b, and a long-term grid has
+// bytes_per_key, 256 rows and a drop that is a multiple of 256.
 IoStatus ValidateMeta(const GridMeta& meta, const std::string& context);
 
 // Do two grids describe slices of the same logical dataset? Everything must

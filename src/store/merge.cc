@@ -47,11 +47,6 @@ IoStatus AddCheckedSlice(const GridMeta& meta, std::span<const uint64_t> cells,
 
 }  // namespace
 
-IoStatus MergeShardGrids(const Manifest& manifest,
-                         const std::string& manifest_path, StoredGrid* out) {
-  return MergeShardGridsEx(manifest, manifest_path, MergeOptions{}, out, nullptr);
-}
-
 IoStatus MergeShardGridsEx(const Manifest& manifest,
                            const std::string& manifest_path,
                            const MergeOptions& options, StoredGrid* out,

@@ -21,13 +21,6 @@
 
 namespace rc4b::store {
 
-// Validates every shard file listed in `manifest` (resolved relative to
-// `manifest_path`) and sums them into *out. The output meta covers the full
-// key range; samples is the sum over shards; interleave is the shards'
-// width when unanimous, 0 otherwise.
-IoStatus MergeShardGrids(const Manifest& manifest,
-                         const std::string& manifest_path, StoredGrid* out);
-
 struct MergeOptions {
   // Incremental re-merge: a previously merged grid over a prefix of the
   // manifest's key range. Its cells are the starting sum and every shard it
@@ -56,8 +49,11 @@ struct MergeOutcome {
   std::vector<MissingShard> missing;  // only with allow_missing
 };
 
-// MergeShardGrids with incremental-base and partial-merge handling;
-// `outcome` may be null.
+// Validates every shard file listed in `manifest` (resolved relative to
+// `manifest_path`) and sums them into *out. The output meta covers the full
+// key range; samples is the sum over shards (and the base); interleave is
+// the shards' width when unanimous, 0 otherwise. Default `options` merge
+// every shard and fail on the first bad one; `outcome` may be null.
 IoStatus MergeShardGridsEx(const Manifest& manifest,
                            const std::string& manifest_path,
                            const MergeOptions& options, StoredGrid* out,

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/biases/dataset.h"
 #include "src/common/rng.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -13,11 +13,12 @@ TEST(BiasScanTest, StrongInitialBytesDetectedBiased) {
   // At 2^20 keys only the strongest positions clear the Holm-corrected 1e-4
   // threshold — position 2 (Mantin–Shamir, 100% relative on one cell) with
   // certainty, and typically position 1.
-  DatasetOptions options;
-  options.keys = 1 << 20;
-  options.workers = 8;
-  options.seed = 21;
-  const auto grid = GenerateSingleByteDataset(8, options);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kSingleByte;
+  meta.seed = 21;
+  meta.key_end = 1 << 20;
+  meta.rows = 8;
+  const auto grid = store::ToSingleByteGrid(store::LoadOrGenerateGrid(meta, 8, ""));
   const auto results = ScanSingleBytes(grid);
   EXPECT_TRUE(results[1].biased);  // Z2
   // The remaining positions' biases (~2^-8 relative) are below this sample
@@ -117,11 +118,12 @@ TEST(BiasScanTest, RealRc4FindsIsobeZ1Z2ZeroBias) {
   // End-to-end on real RC4: the strongest (Z1, Z2) dependency is Isobe's
   // Pr[Z1 = Z2 = 0] ~ 3 * 2^-16, a ~+50% relative bias over the product of
   // marginals — detectable with ~2^23 keys, unlike the 2^-8-scale FM cells.
-  DatasetOptions options;
-  options.keys = 1 << 23;
-  options.workers = 0;
-  options.seed = 26;
-  const auto grid = GenerateConsecutiveDataset(2, options);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kConsecutive;
+  meta.seed = 26;
+  meta.key_end = 1 << 23;
+  meta.rows = 2;
+  const auto grid = store::ToDigraphGrid(store::LoadOrGenerateGrid(meta, 0, ""));
   const auto dependence = ScanPairDependence(grid);
   EXPECT_TRUE(dependence[0].dependent);  // Z1-Z2 dependency detected
 

@@ -4,19 +4,34 @@
 
 #include <gtest/gtest.h>
 
+#include "src/store/grid_cache.h"
+
 namespace rc4b {
 namespace {
 
-DatasetOptions SmallOptions(uint64_t keys, uint64_t seed) {
-  DatasetOptions options;
-  options.keys = keys;
-  options.workers = 4;
-  options.seed = seed;
-  return options;
+// Grid datasets are described by a GridMeta and generated by the store.
+store::StoredGrid Generate(store::GridKind kind, uint64_t rows, uint64_t keys,
+                           uint64_t seed) {
+  store::GridMeta meta;
+  meta.kind = kind;
+  meta.seed = seed;
+  meta.key_end = keys;
+  meta.rows = rows;
+  return store::LoadOrGenerateGrid(meta, 4, "");
+}
+
+SingleByteGrid SingleByte(size_t positions, uint64_t keys, uint64_t seed) {
+  return store::ToSingleByteGrid(
+      Generate(store::GridKind::kSingleByte, positions, keys, seed));
+}
+
+DigraphGrid Consecutive(size_t positions, uint64_t keys, uint64_t seed) {
+  return store::ToDigraphGrid(
+      Generate(store::GridKind::kConsecutive, positions, keys, seed));
 }
 
 TEST(DatasetTest, SingleByteGridTotalsAndKeys) {
-  const auto grid = GenerateSingleByteDataset(8, SmallOptions(1 << 12, 1));
+  const auto grid = SingleByte(8, 1 << 12, 1);
   EXPECT_EQ(grid.keys(), uint64_t{1} << 12);
   for (size_t pos = 0; pos < 8; ++pos) {
     uint64_t total = 0;
@@ -29,7 +44,7 @@ TEST(DatasetTest, SingleByteGridTotalsAndKeys) {
 
 TEST(DatasetTest, SingleByteDetectsMantinShamirBias) {
   // 2^17 keys suffice for a >20-sigma Z2=0 signal.
-  const auto grid = GenerateSingleByteDataset(4, SmallOptions(1 << 17, 2));
+  const auto grid = SingleByte(4, 1 << 17, 2);
   const double p = grid.Probability(1, 0);  // position index 1 = Z2
   EXPECT_GT(p, 1.7 / 256.0);
   EXPECT_LT(p, 2.3 / 256.0);
@@ -40,7 +55,7 @@ TEST(DatasetTest, SingleByteDetectsPositionValueBias) {
   // 2^19 keys each position's signal is noisy (bias ~ 2^-8 relative, noise
   // ~ 2^-5.5), so test the *pooled* deviation across positions 3..16, which
   // is a clean multi-sigma signal.
-  const auto grid = GenerateSingleByteDataset(16, SmallOptions(1 << 19, 3));
+  const auto grid = SingleByte(16, 1 << 19, 3);
   double pooled = 0.0;
   int positions = 0;
   for (size_t r = 3; r <= 16; ++r) {
@@ -54,8 +69,8 @@ TEST(DatasetTest, SingleByteDetectsPositionValueBias) {
 }
 
 TEST(DatasetTest, DeterministicAcrossRuns) {
-  const auto a = GenerateSingleByteDataset(4, SmallOptions(1 << 10, 7));
-  const auto b = GenerateSingleByteDataset(4, SmallOptions(1 << 10, 7));
+  const auto a = SingleByte(4, 1 << 10, 7);
+  const auto b = SingleByte(4, 1 << 10, 7);
   for (size_t pos = 0; pos < 4; ++pos) {
     for (int v = 0; v < 256; ++v) {
       ASSERT_EQ(a.Count(pos, static_cast<uint8_t>(v)),
@@ -66,8 +81,8 @@ TEST(DatasetTest, DeterministicAcrossRuns) {
 
 TEST(DatasetTest, ConsecutiveGridMarginalsMatchSingleByte) {
   const uint64_t keys = 1 << 14;
-  const auto digraph = GenerateConsecutiveDataset(4, SmallOptions(keys, 5));
-  const auto single = GenerateSingleByteDataset(5, SmallOptions(keys, 5));
+  const auto digraph = Consecutive(4, keys, 5);
+  const auto single = SingleByte(5, keys, 5);
   // Same seed => same keys => marginal of (Z_r, Z_{r+1}) over the second byte
   // equals the single-byte counts at r exactly.
   for (size_t pos = 0; pos < 4; ++pos) {
@@ -84,8 +99,14 @@ TEST(DatasetTest, ConsecutiveGridMarginalsMatchSingleByte) {
 
 TEST(DatasetTest, PairDatasetMatchesConsecutiveForAdjacentPairs) {
   const uint64_t keys = 1 << 12;
-  const auto consecutive = GenerateConsecutiveDataset(3, SmallOptions(keys, 9));
-  const auto pairs = GeneratePairDataset({{1, 2}, {2, 3}}, SmallOptions(keys, 9));
+  const auto consecutive = Consecutive(3, keys, 9);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kPair;
+  meta.seed = 9;
+  meta.key_end = keys;
+  meta.rows = 2;
+  meta.pairs = {{1, 2}, {2, 3}};
+  const auto pairs = store::ToDigraphGrid(store::LoadOrGenerateGrid(meta, 4, ""));
   for (int x = 0; x < 256; ++x) {
     for (int y = 0; y < 256; ++y) {
       ASSERT_EQ(pairs.Count(0, static_cast<uint8_t>(x), static_cast<uint8_t>(y)),
@@ -100,12 +121,14 @@ TEST(DatasetTest, LongTermDatasetStructure) {
   // Verifying the 2^-8 Fluhrer–McGrew magnitudes needs ~2^38 digraph samples
   // (the Table 1 bench's job); here we validate the generator's bookkeeping:
   // per-row totals, key accounting, and determinism.
-  LongTermOptions options;
-  options.keys = 8;
-  options.bytes_per_key = 1 << 16;
-  options.workers = 4;
-  options.seed = 11;
-  const auto grid = GenerateLongTermDigraphDataset(options);
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kLongTermDigraph;
+  meta.seed = 11;
+  meta.key_end = 8;
+  meta.rows = 256;
+  meta.drop = 1024;
+  meta.bytes_per_key = 1 << 16;
+  const auto grid = store::ToDigraphGrid(store::LoadOrGenerateGrid(meta, 4, ""));
   EXPECT_EQ(grid.keys(), 8u * ((1 << 16) / 256));
   for (size_t row = 0; row < 256; row += 37) {
     uint64_t total = 0;
@@ -114,7 +137,7 @@ TEST(DatasetTest, LongTermDatasetStructure) {
     }
     EXPECT_EQ(total, grid.keys()) << "row " << row;
   }
-  const auto again = GenerateLongTermDigraphDataset(options);
+  const auto again = store::ToDigraphGrid(store::LoadOrGenerateGrid(meta, 4, ""));
   EXPECT_EQ(again.Count(7, 0, 0), grid.Count(7, 0, 0));
   EXPECT_EQ(again.Count(200, 255, 201), grid.Count(200, 255, 201));
 }
@@ -123,7 +146,7 @@ TEST(DatasetTest, AbsabCountsBookkeeping) {
   // The ABSAB match rate sits within noise of 2^-16 at unit-test scale
   // (detecting the 2^-8-relative bias is the absab-gap bench's job); check
   // the counting machinery: sample totals, plausible rates, determinism.
-  LongTermOptions options;
+  LongTermEngineOptions options;
   options.keys = 8;
   options.bytes_per_key = 1 << 20;
   options.workers = 4;
@@ -144,7 +167,7 @@ TEST(DatasetTest, AbsabCountsBookkeeping) {
 }
 
 TEST(DatasetTest, AlignedPairDatasetTotals) {
-  LongTermOptions options;
+  LongTermEngineOptions options;
   options.keys = 4;
   options.bytes_per_key = 1 << 16;
   options.workers = 2;

@@ -70,7 +70,7 @@ TEST(EngineMultiStreamTest, PairGridMatchesScalarPath) {
   ExpectShortTermMatches<PairAccumulator>([&] { return PairAccumulator(pairs); });
 }
 
-LongTermEngineOptions LongTermOptions(size_t interleave, unsigned workers) {
+LongTermEngineOptions LongTermRunOptions(size_t interleave, unsigned workers) {
   LongTermEngineOptions options;
   options.keys = kLongTermKeys;
   options.bytes_per_key = (1 << 13) + 512;  // tail window below chunk_bytes
@@ -87,7 +87,7 @@ void ExpectLongTermMatches(Make make, Same same) {
   ExpectLockstepMatchesScalar<Accumulator>(
       make, same,
       [](const LongTermEngineOptions& o, Accumulator& acc) { RunLongTermEngine(o, acc); },
-      LongTermOptions);
+      LongTermRunOptions);
 }
 
 TEST(EngineMultiStreamTest, LongTermDigraphGridMatchesScalarPath) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/biases/bias_scan.h"
-#include "src/biases/dataset.h"
 #include "src/engine/accumulators.h"
+#include "src/store/grid_cache.h"
 
 namespace rc4b {
 namespace {
@@ -106,14 +106,16 @@ TEST(KeystreamEngineTest, DropShiftsKeystreamPositions) {
   }
 }
 
-TEST(KeystreamEngineTest, DatasetWrappersRideTheEngine) {
-  // GenerateSingleByteDataset must be the engine verbatim: same seed, same
-  // counts, independent of each side's worker count.
-  DatasetOptions dataset;
-  dataset.keys = 5000;
-  dataset.workers = 3;
-  dataset.seed = 13;
-  const auto wrapped = GenerateSingleByteDataset(6, dataset);
+TEST(KeystreamEngineTest, StoredGridsRideTheEngine) {
+  // A grid the store generates from its GridMeta must be the engine
+  // verbatim: same seed, same counts, independent of each side's worker
+  // count.
+  store::GridMeta meta;
+  meta.kind = store::GridKind::kSingleByte;
+  meta.seed = 13;
+  meta.key_end = 5000;
+  meta.rows = 6;
+  const auto wrapped = store::ToSingleByteGrid(store::LoadOrGenerateGrid(meta, 3, ""));
   const auto direct = RunSingleByte(6, Options(5000, 1, 13));
   ExpectGridsEqual(wrapped, direct);
 }

@@ -94,8 +94,9 @@ CampaignReport RunAndVerify(const Campaign& campaign, bool expect_complete) {
   EXPECT_EQ(report.complete(), expect_complete) << report.Summary();
   if (report.complete()) {
     store::StoredGrid merged;
-    EXPECT_TRUE(store::MergeShardGrids(campaign.manifest,
-                                       campaign.manifest_path, &merged)
+    EXPECT_TRUE(store::MergeShardGridsEx(campaign.manifest,
+                                         campaign.manifest_path, {}, &merged,
+                                         nullptr)
                     .ok());
     const store::StoredGrid reference =
         store::GenerateStoredGrid(campaign.manifest.grid, 1, 0);
@@ -231,8 +232,8 @@ TEST(ChaosTest, IncrementalExtensionRerunsOnlyNewShards) {
   // files — exactly the state after shipping a merged grid and reclaiming
   // worker disk space.
   store::StoredGrid base;
-  ASSERT_TRUE(store::MergeShardGrids(campaign.manifest, campaign.manifest_path,
-                                     &base)
+  ASSERT_TRUE(store::MergeShardGridsEx(campaign.manifest,
+                                       campaign.manifest_path, {}, &base, nullptr)
                   .ok());
   ASSERT_TRUE(
       store::ExtendManifestPlan(&campaign.manifest, 0x4000, 2, dir + "/c").ok());

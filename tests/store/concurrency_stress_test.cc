@@ -1,6 +1,6 @@
 // Concurrency stress for the store + engine stack, sized for the TSan CI
 // leg: many in-shard workers x many small shards running in parallel
-// threads, plus GridCache readers and writers racing on one cache entry.
+// threads, plus grid cache readers and writers racing on one cache entry.
 // Every phase ends with a bit-exactness check against a single-threaded
 // reference, so a race that corrupts counters fails loudly even on builds
 // without ThreadSanitizer.
@@ -72,7 +72,7 @@ TEST(ConcurrencyStressTest, ManyWorkersManySmallShardsMergeBitExactly) {
 
   StoredGrid merged;
   const IoStatus merge_status =
-      MergeShardGrids(manifest, manifest_path, &merged);
+      MergeShardGridsEx(manifest, manifest_path, {}, &merged, nullptr);
   ASSERT_TRUE(merge_status.ok()) << merge_status.message();
 
   const StoredGrid reference = GenerateStoredGrid(meta, 1, 1);
@@ -83,21 +83,18 @@ TEST(ConcurrencyStressTest, ManyWorkersManySmallShardsMergeBitExactly) {
 
 TEST(ConcurrencyStressTest, ConcurrentCacheReadersSeeOneBitExactGrid) {
   const std::string dir = TempDirFor("stress-cache-read");
-  GridCache cache(dir);
-  DatasetOptions options;
-  options.keys = 1 << 9;
-  options.seed = 13;
-  options.workers = 2;
-  const SingleByteGrid reference = ToSingleByteGrid(
-      cache.LoadOrGenerate(MetaForSingleByte(8, options), options.workers));
+  GridMeta meta;
+  meta.kind = GridKind::kSingleByte;
+  meta.seed = 13;
+  meta.key_end = 1 << 9;
+  meta.rows = 8;
+  const SingleByteGrid reference = ToSingleByteGrid(LoadOrGenerateGrid(meta, 2, dir));
 
   std::vector<std::thread> threads;
   std::vector<int> matches(8, 0);
   for (size_t t = 0; t < matches.size(); ++t) {
     threads.emplace_back([&, t] {
-      GridCache reader(dir);
-      const SingleByteGrid grid = ToSingleByteGrid(
-          reader.LoadOrGenerate(MetaForSingleByte(8, options), options.workers));
+      const SingleByteGrid grid = ToSingleByteGrid(LoadOrGenerateGrid(meta, 2, dir));
       matches[t] = grid.keys() == reference.keys() &&
                    std::equal(grid.Cells().begin(), grid.Cells().end(),
                               reference.Cells().begin());
@@ -113,23 +110,21 @@ TEST(ConcurrencyStressTest, ConcurrentCacheReadersSeeOneBitExactGrid) {
 
 TEST(ConcurrencyStressTest, RacingCacheFillsNeverPublishATornFile) {
   const std::string dir = TempDirFor("stress-cache-fill");
-  DatasetOptions options;
-  options.keys = 1 << 9;
-  options.seed = 17;
-  options.workers = 2;
+  GridMeta meta;
+  meta.kind = GridKind::kSingleByte;
+  meta.seed = 17;
+  meta.key_end = 1 << 9;
+  meta.rows = 8;
 
   // No cache file exists yet: every thread generates and stores the same
   // entry concurrently. Writer-unique temp files (src/common/io.cc) are what
   // keep the final rename from ever publishing interleaved bytes.
   std::vector<std::thread> threads;
   std::vector<int> matches(8, 0);
-  const StoredGrid reference =
-      GenerateStoredGrid(MetaForSingleByte(8, options), 1, 1);
+  const StoredGrid reference = GenerateStoredGrid(meta, 1, 1);
   for (size_t t = 0; t < matches.size(); ++t) {
     threads.emplace_back([&, t] {
-      GridCache filler(dir);
-      const SingleByteGrid grid = ToSingleByteGrid(
-          filler.LoadOrGenerate(MetaForSingleByte(8, options), options.workers));
+      const SingleByteGrid grid = ToSingleByteGrid(LoadOrGenerateGrid(meta, 2, dir));
       matches[t] = std::equal(reference.cells.begin(), reference.cells.end(),
                               grid.Cells().begin(), grid.Cells().end());
     });
@@ -142,9 +137,12 @@ TEST(ConcurrencyStressTest, RacingCacheFillsNeverPublishATornFile) {
   }
 
   // Whatever the race left on disk must be a fully valid cache entry.
-  GridCache cache(dir);
+  const std::string path = GridCachePath(dir, meta);
   StoredGrid cached;
-  const IoStatus status = cache.TryLoad(MetaForSingleByte(8, options), &cached);
+  IoStatus status = ReadGridFile(path, &cached);
+  if (status.ok()) {
+    status = CheckSlice(meta, cached.meta, Coverage::kExact, path);
+  }
   ASSERT_TRUE(status.ok()) << status.message();
   EXPECT_TRUE(std::equal(cached.cells.begin(), cached.cells.end(),
                          reference.cells.begin()));

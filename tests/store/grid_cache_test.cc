@@ -1,134 +1,140 @@
-// GridCache warm-start contract (docs/store.md): a cached grid is loaded
+// Grid cache warm-start contract (docs/store.md): a cached grid is loaded
 // only when its provenance matches exactly and is bit-identical to
 // regenerating; anything else regenerates — never a silent wrong answer.
 #include "src/store/grid_cache.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/recovery/scenario.h"
+#include "src/store/manifest.h"
+#include "src/store/merge.h"
 #include "src/store/shard_runner.h"
 
 namespace rc4b::store {
 namespace {
 
+// An empty directory: a cache left by an earlier run of the test would turn
+// its misses into hits.
 std::string FreshDir(const char* name) {
   const std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::remove_all(dir);
   MakeDirs(dir);
   return dir;
 }
 
-DatasetOptions SmallOptions(const std::string& cache_dir) {
-  DatasetOptions options;
-  options.keys = 1024;
-  options.seed = 41;
-  options.workers = 2;
-  options.cache_dir = cache_dir;
-  return options;
+GridMeta SmallMeta(GridKind kind, uint64_t rows) {
+  GridMeta meta;
+  meta.kind = kind;
+  meta.seed = 41;
+  meta.key_end = 1024;
+  meta.rows = rows;
+  return meta;
 }
 
-template <typename Grid>
-void ExpectSameGrid(const Grid& a, const Grid& b) {
-  EXPECT_EQ(a.keys(), b.keys());
-  ASSERT_EQ(a.Cells().size(), b.Cells().size());
-  EXPECT_TRUE(std::equal(a.Cells().begin(), a.Cells().end(), b.Cells().begin()));
+constexpr unsigned kWorkers = 2;
+
+// The probe LoadOrGenerateGrid accepts as a hit: the file at GridCachePath
+// holds exactly `want`'s slice. Never generates.
+IoStatus Probe(const std::string& dir, const GridMeta& want, StoredGrid* out) {
+  const std::string path = GridCachePath(dir, want);
+  if (IoStatus status = ReadGridFile(path, out); !status.ok()) {
+    return status;
+  }
+  return CheckSlice(want, out->meta, Coverage::kExact, path);
+}
+
+void ExpectSameGrid(const StoredGrid& a, const StoredGrid& b) {
+  EXPECT_EQ(a.meta.samples, b.meta.samples);
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  EXPECT_TRUE(std::equal(a.cells.begin(), a.cells.end(), b.cells.begin()));
+}
+
+// Cached and uncached requests for `meta` agree, twice: the first call may
+// fill the cache, the second must be a hit.
+void ExpectWarmStartIsBitExact(const GridMeta& meta, const std::string& dir) {
+  const StoredGrid fresh = LoadOrGenerateGrid(meta, kWorkers, "");
+  ExpectSameGrid(LoadOrGenerateGrid(meta, kWorkers, dir), fresh);
+  StoredGrid probe;
+  EXPECT_TRUE(Probe(dir, meta, &probe).ok());
+  ExpectSameGrid(LoadOrGenerateGrid(meta, kWorkers, dir), fresh);
 }
 
 TEST(GridCacheTest, SingleByteWarmStartIsBitExact) {
   const std::string dir = FreshDir("cache-sb");
-  const DatasetOptions cached = SmallOptions(dir);
-  DatasetOptions fresh = cached;
-  fresh.cache_dir.clear();
-
-  const SingleByteGrid first = GenerateSingleByteDataset(12, cached);
+  const GridMeta meta = SmallMeta(GridKind::kSingleByte, 12);
+  ExpectWarmStartIsBitExact(meta, dir);
   // The miss stored a grid file in the cache directory.
-  const std::string path = GridCache(dir).PathFor(MetaForSingleByte(12, cached));
   StoredGrid stored;
-  EXPECT_TRUE(ReadGridFile(path, &stored).ok());
-
-  const SingleByteGrid warm = GenerateSingleByteDataset(12, cached);
-  const SingleByteGrid reference = GenerateSingleByteDataset(12, fresh);
-  ExpectSameGrid(warm, first);
-  ExpectSameGrid(warm, reference);
+  EXPECT_TRUE(ReadGridFile(GridCachePath(dir, meta), &stored).ok());
 }
 
 TEST(GridCacheTest, EveryDigraphFamilyWarmStartsBitExactly) {
   const std::string dir = FreshDir("cache-digraph");
-  const DatasetOptions cached = SmallOptions(dir);
-  DatasetOptions fresh = cached;
-  fresh.cache_dir.clear();
+  ExpectWarmStartIsBitExact(SmallMeta(GridKind::kConsecutive, 4), dir);
 
-  ExpectSameGrid(GenerateConsecutiveDataset(4, cached),
-                 GenerateConsecutiveDataset(4, fresh));
-  ExpectSameGrid(GenerateConsecutiveDataset(4, cached),  // now a cache hit
-                 GenerateConsecutiveDataset(4, fresh));
+  GridMeta pairs = SmallMeta(GridKind::kPair, 2);
+  pairs.pairs = {{1, 2}, {2, 300}};
+  ExpectWarmStartIsBitExact(pairs, dir);
 
-  const std::vector<std::pair<uint32_t, uint32_t>> pairs = {{1, 2}, {2, 300}};
-  ExpectSameGrid(GeneratePairDataset(pairs, cached),
-                 GeneratePairDataset(pairs, fresh));
-  ExpectSameGrid(GeneratePairDataset(pairs, cached),
-                 GeneratePairDataset(pairs, fresh));
-
-  LongTermOptions lt;
-  lt.keys = 4;
-  lt.bytes_per_key = 2048;
-  lt.drop = 256;
-  lt.seed = 41;
-  lt.workers = 2;
-  LongTermOptions lt_cached = lt;
-  lt_cached.cache_dir = dir;
-  ExpectSameGrid(GenerateLongTermDigraphDataset(lt_cached),
-                 GenerateLongTermDigraphDataset(lt));
-  ExpectSameGrid(GenerateLongTermDigraphDataset(lt_cached),
-                 GenerateLongTermDigraphDataset(lt));
+  GridMeta long_term;
+  long_term.kind = GridKind::kLongTermDigraph;
+  long_term.seed = 41;
+  long_term.key_end = 4;
+  long_term.rows = 256;
+  long_term.drop = 256;
+  long_term.bytes_per_key = 2048;
+  ExpectWarmStartIsBitExact(long_term, dir);
 }
 
 TEST(GridCacheTest, DistinctProvenanceGetsDistinctFiles) {
-  const GridCache cache("/cache");
-  const DatasetOptions options = SmallOptions("/cache");
-  DatasetOptions other = options;
+  const GridMeta meta = SmallMeta(GridKind::kSingleByte, 12);
+  // The name scheme is what lets an existing cache directory stay valid.
+  EXPECT_EQ(GridCachePath("/cache", meta),
+            "/cache/singlebyte-r12-s41-k0-1024-d0-b0.grid");
+  GridMeta other = meta;
   other.seed = 42;
-  EXPECT_NE(cache.PathFor(MetaForSingleByte(12, options)),
-            cache.PathFor(MetaForSingleByte(12, other)));
-  EXPECT_NE(cache.PathFor(MetaForSingleByte(12, options)),
-            cache.PathFor(MetaForSingleByte(13, options)));
-  EXPECT_NE(cache.PathFor(MetaForPair({{1, 2}}, options)),
-            cache.PathFor(MetaForPair({{1, 3}}, options)));
+  EXPECT_NE(GridCachePath("/cache", meta), GridCachePath("/cache", other));
+  EXPECT_NE(GridCachePath("/cache", meta),
+            GridCachePath("/cache", SmallMeta(GridKind::kSingleByte, 13)));
+  GridMeta pair_a = SmallMeta(GridKind::kPair, 1);
+  pair_a.pairs = {{1, 2}};
+  GridMeta pair_b = pair_a;
+  pair_b.pairs = {{1, 3}};
+  EXPECT_NE(GridCachePath("/cache", pair_a), GridCachePath("/cache", pair_b));
 }
 
 TEST(GridCacheTest, CorruptCacheFileIsRegeneratedCorrectly) {
   const std::string dir = FreshDir("cache-corrupt");
-  const DatasetOptions cached = SmallOptions(dir);
-  DatasetOptions fresh = cached;
-  fresh.cache_dir.clear();
+  const GridMeta meta = SmallMeta(GridKind::kSingleByte, 6);
 
-  GenerateSingleByteDataset(6, cached);  // populate
-  const std::string path = GridCache(dir).PathFor(MetaForSingleByte(6, cached));
+  LoadOrGenerateGrid(meta, kWorkers, dir);  // populate
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(GridCachePath(dir, meta), std::ios::binary | std::ios::trunc);
     out << "scribbled over";
   }
   StoredGrid probe;
-  EXPECT_FALSE(GridCache(dir).TryLoad(MetaForSingleByte(6, cached), &probe).ok());
+  EXPECT_FALSE(Probe(dir, meta, &probe).ok());
 
   // The corrupt file is rejected, regenerated and re-stored.
-  ExpectSameGrid(GenerateSingleByteDataset(6, cached),
-                 GenerateSingleByteDataset(6, fresh));
-  EXPECT_TRUE(GridCache(dir).TryLoad(MetaForSingleByte(6, cached), &probe).ok());
+  ExpectSameGrid(LoadOrGenerateGrid(meta, kWorkers, dir),
+                 LoadOrGenerateGrid(meta, kWorkers, ""));
+  EXPECT_TRUE(Probe(dir, meta, &probe).ok());
 }
 
 TEST(GridCacheTest, TruncatedCacheFileIsRegeneratedCorrectly) {
   const std::string dir = FreshDir("cache-truncated");
-  const DatasetOptions cached = SmallOptions(dir);
-  DatasetOptions fresh = cached;
-  fresh.cache_dir.clear();
+  const GridMeta meta = SmallMeta(GridKind::kSingleByte, 6);
 
-  GenerateSingleByteDataset(6, cached);  // populate
-  const std::string path = GridCache(dir).PathFor(MetaForSingleByte(6, cached));
+  LoadOrGenerateGrid(meta, kWorkers, dir);  // populate
+  const std::string path = GridCachePath(dir, meta);
   // Cut the file mid-payload: a torn copy or a disk that filled up. The
   // header still parses, so only the length/checksum validation catches it.
   StoredGrid stored;
@@ -141,63 +147,109 @@ TEST(GridCacheTest, TruncatedCacheFileIsRegeneratedCorrectly) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   StoredGrid probe;
-  EXPECT_FALSE(GridCache(dir).TryLoad(MetaForSingleByte(6, cached), &probe).ok());
+  EXPECT_FALSE(Probe(dir, meta, &probe).ok());
 
-  ExpectSameGrid(GenerateSingleByteDataset(6, cached),
-                 GenerateSingleByteDataset(6, fresh));
-  EXPECT_TRUE(GridCache(dir).TryLoad(MetaForSingleByte(6, cached), &probe).ok());
+  ExpectSameGrid(LoadOrGenerateGrid(meta, kWorkers, dir),
+                 LoadOrGenerateGrid(meta, kWorkers, ""));
+  EXPECT_TRUE(Probe(dir, meta, &probe).ok());
 }
 
 TEST(GridCacheTest, ForeignProvenanceEntryIsRejectedAndReplaced) {
   const std::string dir = FreshDir("cache-foreign");
-  const DatasetOptions cached = SmallOptions(dir);
-  DatasetOptions fresh = cached;
-  fresh.cache_dir.clear();
+  const GridMeta meta = SmallMeta(GridKind::kSingleByte, 6);
 
-  GenerateSingleByteDataset(6, cached);  // populate
-  const std::string path = GridCache(dir).PathFor(MetaForSingleByte(6, cached));
+  LoadOrGenerateGrid(meta, kWorkers, dir);  // populate
 
   // Overwrite the entry with a structurally valid grid file generated under
   // a different seed — checksums pass, provenance must not.
-  DatasetOptions other = cached;
-  other.seed = cached.seed + 1;
-  other.cache_dir.clear();
-  GridMeta foreign_meta = MetaForSingleByte(6, other);
+  GridMeta foreign_meta = meta;
+  foreign_meta.seed = meta.seed + 1;
   const StoredGrid foreign = GenerateStoredGrid(foreign_meta, 1, 0);
-  ASSERT_TRUE(WriteGridFile(path, foreign.meta, foreign.cells).ok());
+  ASSERT_TRUE(
+      WriteGridFile(GridCachePath(dir, meta), foreign.meta, foreign.cells).ok());
 
   StoredGrid probe;
-  const IoStatus status =
-      GridCache(dir).TryLoad(MetaForSingleByte(6, cached), &probe);
+  const IoStatus status = Probe(dir, meta, &probe);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("seed"), std::string::npos);
 
   // The poisoned entry is never used: the next request regenerates the true
   // grid and stores it back over the impostor.
-  ExpectSameGrid(GenerateSingleByteDataset(6, cached),
-                 GenerateSingleByteDataset(6, fresh));
-  EXPECT_TRUE(GridCache(dir).TryLoad(MetaForSingleByte(6, cached), &probe).ok());
-  EXPECT_EQ(probe.meta.seed, cached.seed);
+  ExpectSameGrid(LoadOrGenerateGrid(meta, kWorkers, dir),
+                 LoadOrGenerateGrid(meta, kWorkers, ""));
+  EXPECT_TRUE(Probe(dir, meta, &probe).ok());
+  EXPECT_EQ(probe.meta.seed, meta.seed);
 }
 
-TEST(GridCacheTest, MissingFileReportsPath) {
-  const GridCache cache(FreshDir("cache-miss"));
+TEST(GridCacheTest, MissingFileIsAQuietMiss) {
+  const std::string dir = FreshDir("cache-miss");
+  const GridMeta meta = SmallMeta(GridKind::kSingleByte, 6);
   StoredGrid probe;
-  const IoStatus status =
-      cache.TryLoad(MetaForSingleByte(6, SmallOptions(cache.dir())), &probe);
+  const IoStatus status = Probe(dir, meta, &probe);
   EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find(cache.dir()), std::string::npos);
+  EXPECT_NE(status.message().find(dir), std::string::npos);
+
+  // A miss is not a warning: the grid is generated and stored silently.
+  ::testing::internal::CaptureStderr();
+  LoadOrGenerateGrid(meta, kWorkers, dir);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_TRUE(Probe(dir, meta, &probe).ok());
 }
 
-TEST(GridCacheTest, ShardSlicesBypassTheCache) {
+TEST(GridCacheTest, ShardSlicesAreCachedUnderTheirOwnRange) {
   const std::string dir = FreshDir("cache-shard");
-  DatasetOptions options = SmallOptions(dir);
-  options.first_key = 512;  // a distributed slice, not a cacheable dataset
-  GenerateSingleByteDataset(6, options);
-  // Nothing was stored: the probe for the full-range dataset still misses.
+  const GridMeta full = SmallMeta(GridKind::kSingleByte, 6);
+  GridMeta slice = full;  // a distributed slice of another key range
+  slice.key_begin = 512;
+  slice.key_end = 512 + full.keys();
+
+  ExpectSameGrid(LoadOrGenerateGrid(slice, kWorkers, dir),
+                 GenerateStoredGrid(slice, kWorkers, 0));
   StoredGrid probe;
-  GridMeta want = MetaForSingleByte(6, options);
-  EXPECT_FALSE(GridCache(dir).TryLoad(want, &probe).ok());
+  EXPECT_TRUE(Probe(dir, slice, &probe).ok());
+  EXPECT_NE(GridCachePath(dir, slice), GridCachePath(dir, full));
+  // The slice never answers the full-range request.
+  EXPECT_FALSE(Probe(dir, full, &probe).ok());
+  ExpectSameGrid(LoadOrGenerateGrid(full, kWorkers, dir),
+                 GenerateStoredGrid(full, kWorkers, 0));
+}
+
+TEST(GridCacheTest, MergedDistributedGridIsAWarmHit) {
+  // docs/store.md: a merged grid_plan / grid_gen / grid_merge result drops
+  // straight into a cache directory under GridCachePath.
+  const std::string dir = FreshDir("cache-merged");
+  const std::string manifest_path = dir + "/plan.manifest";
+  const Manifest manifest =
+      PlanShards(SmallMeta(GridKind::kConsecutive, 3), 3, dir + "/plan");
+  ASSERT_TRUE(WriteManifest(manifest_path, manifest).ok());
+  ShardRunOptions options;
+  options.workers = kWorkers;
+  for (uint32_t s = 0; s < manifest.shards.size(); ++s) {
+    ShardRunResult result;
+    ASSERT_TRUE(RunShard(manifest, manifest_path, s, options, &result).ok());
+  }
+  StoredGrid merged;
+  ASSERT_TRUE(
+      MergeShardGridsEx(manifest, manifest_path, {}, &merged, nullptr).ok());
+
+  const std::string cache = FreshDir("cache-merged/cache");
+  const std::string path = GridCachePath(cache, manifest.grid);
+  ASSERT_TRUE(WriteGridFile(path, merged.meta, merged.cells).ok());
+  struct stat before {};
+  ASSERT_EQ(stat(path.c_str(), &before), 0);
+
+  ::testing::internal::CaptureStderr();
+  const StoredGrid loaded = LoadOrGenerateGrid(manifest.grid, kWorkers, cache);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ExpectSameGrid(loaded, merged);
+
+  // Loaded, not regenerated: the file was never rewritten.
+  struct stat after {};
+  ASSERT_EQ(stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_size, before.st_size);
+  EXPECT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  EXPECT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
 }
 
 TEST(GridCacheTest, ScenarioWarmStartMatchesColdRun) {

@@ -112,6 +112,51 @@ TEST(ManifestTest, ValidateRejectsPairsOutsideOneToB) {
   }
 }
 
+TEST(ManifestTest, RejectsLongTermDropOffTheRowGrid) {
+  // A long-term digraph shard files keystream offset `off` under row
+  // off mod 256, which is (r - 1) mod 256 only when drop is a multiple of
+  // 256; any other drop would mislabel every row of every shard.
+  GridMeta grid;
+  grid.kind = GridKind::kLongTermDigraph;
+  grid.seed = 1;
+  grid.key_end = 4;
+  grid.rows = 256;
+  grid.drop = 1000;
+  grid.bytes_per_key = 0x1000;
+  const std::string path = TempPath("longterm-drop.manifest");
+  const IoStatus status = WriteManifest(path, PlanShards(grid, 1, "lt"));
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("drop 1000"), std::string::npos)
+      << status.message();
+
+  grid.drop = 1024;
+  EXPECT_TRUE(ValidateManifest(PlanShards(grid, 1, "lt"), "ctx").ok());
+  grid.drop = 0;
+  EXPECT_TRUE(ValidateManifest(PlanShards(grid, 1, "lt"), "ctx").ok());
+  std::remove(path.c_str());
+}
+
+TEST(ManifestTest, ReadRejectsLongTermGridWithoutAllRows) {
+  // The long-term accumulator writes all 256 counter-class rows; a manifest
+  // declaring fewer made grid_gen write past the end of the shard grid.
+  const std::string path = TempPath("longterm-rows.manifest");
+  ASSERT_TRUE(WriteFileAtomic(path,
+                              "rc4b-grid-manifest 1\n"
+                              "kind longterm-digraph\n"
+                              "key_begin 0\n"
+                              "key_end 2\n"
+                              "rows 16\n"
+                              "drop 256\n"
+                              "bytes_per_key 4096\n"
+                              "shard 0 2 s0.grid\n")
+                  .ok());
+  Manifest loaded;
+  const IoStatus status = ReadManifest(path, &loaded);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("16 rows"), std::string::npos) << status.message();
+  std::remove(path.c_str());
+}
+
 TEST(ManifestTest, ReadRejectsPairZero) {
   const std::string path = TempPath("pair-zero.manifest");
   ASSERT_TRUE(WriteFileAtomic(path,

@@ -68,7 +68,8 @@ TEST(MergeTest, ShardedMergeMatchesSingleProcessForEveryKind) {
         WriteShards(grid, kind == GridKind::kLongTermDigraph ? 2 : 3, dir);
 
     StoredGrid merged;
-    ASSERT_TRUE(MergeShardGrids(manifest, dir + "/x.manifest", &merged).ok());
+    ASSERT_TRUE(
+        MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr).ok());
     const StoredGrid reference = GenerateStoredGrid(grid, 2, 0);
     EXPECT_TRUE(
         CheckGridsEqual(reference, merged, "reference", "merged").ok());
@@ -92,7 +93,8 @@ TEST(MergeTest, RejectsShardFromADifferentDataset) {
   ASSERT_TRUE(WriteGridFile(manifest.shards[1].path, bad.meta, bad.cells).ok());
 
   StoredGrid merged;
-  const IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  const IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("seed"), std::string::npos);
   EXPECT_NE(status.message().find(manifest.shards[1].path), std::string::npos);
@@ -106,7 +108,8 @@ TEST(MergeTest, RejectsShardCoveringTheWrongRange) {
   // Swap the two shard files: provenance matches but ranges do not.
   std::swap(manifest.shards[0].path, manifest.shards[1].path);
   StoredGrid merged;
-  const IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  const IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("manifest assigns"), std::string::npos);
 }
@@ -118,7 +121,8 @@ TEST(MergeTest, RejectsMissingShardFile) {
   std::remove(manifest.shards[0].path.c_str());
 
   StoredGrid merged;
-  const IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  const IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find(manifest.shards[0].path), std::string::npos);
 }
@@ -135,7 +139,8 @@ TEST(MergeTest, RejectsCorruptShard) {
     std::fclose(file);
   }
   StoredGrid merged;
-  const IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  const IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("checksum"), std::string::npos);
 }
@@ -240,7 +245,8 @@ TEST(MergeTest, RejectsShardWhoseRowDoesNotSumToItsSamples) {
   ASSERT_TRUE(WriteGridFile(path, shard.meta, shard.cells).ok());
 
   StoredGrid merged;
-  IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr);
   ASSERT_FALSE(status.ok());
   EXPECT_FALSE(status.transient());  // a data error: retrying cannot help
   const std::string& message = status.message();
@@ -277,7 +283,8 @@ TEST(MergeTest, RejectsShardWhoseSamplesDisagreeWithItsKeyRange) {
   ASSERT_TRUE(WriteGridFile(path, shard.meta, shard.cells).ok());
 
   StoredGrid merged;
-  const IoStatus status = MergeShardGrids(manifest, dir + "/x.manifest", &merged);
+  const IoStatus status =
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find(path), std::string::npos) << status.message();
   EXPECT_NE(status.message().find("implies"), std::string::npos) << status.message();
@@ -306,7 +313,8 @@ TEST(MergeTest, MergedSamplesAreTheShardSum) {
   const GridMeta grid = SmallMeta(GridKind::kConsecutive);
   const Manifest manifest = WriteShards(grid, 4, dir);
   StoredGrid merged;
-  ASSERT_TRUE(MergeShardGrids(manifest, dir + "/x.manifest", &merged).ok());
+  ASSERT_TRUE(
+      MergeShardGridsEx(manifest, dir + "/x.manifest", {}, &merged, nullptr).ok());
   EXPECT_EQ(merged.meta.samples, grid.keys());
 }
 
