@@ -5,9 +5,9 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "src/biases/dataset.h"
 #include "src/biases/mantin.h"
 #include "src/common/flags.h"
+#include "src/engine/accumulators.h"
 
 namespace rc4b {
 namespace {
@@ -40,13 +40,14 @@ int Run(int argc, char** argv) {
       "measured relative bias q(g) with Pr[match] = 2^-16 (1 + q); small gaps "
       "reach multi-sigma at default scale, the far tail needs paper scale");
 
-  const auto counts = GenerateAbsabDataset(max_gap, options);
+  AbsabAccumulator absab(max_gap);
+  RunLongTermEngine(options, absab);
+  const double n = static_cast<double>(absab.samples());
 
   std::printf("%-6s %14s %14s %14s %8s\n", "gap", "measured q", "theory q",
               "ratio", "z(uni)");
   for (uint64_t g = 0; g <= max_gap; ++g) {
-    const double n = static_cast<double>(counts.samples[g]);
-    const double rate = static_cast<double>(counts.matches[g]) / n;
+    const double rate = static_cast<double>(absab.matches()[g]) / n;
     const double q = rate * 65536.0 - 1.0;
     const double theory = AbsabRelativeBias(g);
     const double z = (rate - 0x1.0p-16) / std::sqrt(0x1.0p-16 / n);

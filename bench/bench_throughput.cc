@@ -75,6 +75,8 @@ BENCHMARK_TEMPLATE(BM_Rc4MultiKsa, 32);
 // keystream length, as in the engine's batch buffer). Compare against
 // BM_Rc4Keystream at the same length for the per-core PRGA speedup; this
 // sweep and the KSA one above are how to re-check kLaneWidth on new hardware.
+// M = 1 is the long-term engine's remainder width, to compare with
+// BM_Rc4Keystream/4096.
 template <size_t M>
 void BM_Rc4MultiKeystream(benchmark::State& state) {
   const Bytes keys = RandomBytes(M * 16, 22);
@@ -87,6 +89,7 @@ void BM_Rc4MultiKeystream(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(M * length));
 }
+BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 1)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 4)->Arg(256);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 8)->Arg(256)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_Rc4MultiKeystream, 16)->Arg(256);

@@ -1,7 +1,8 @@
 #include "src/engine/accumulators.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace rc4b {
 
@@ -122,9 +123,17 @@ void ConsecutiveAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
 PairAccumulator::PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs,
                                  DigraphGrid grid)
     : pairs_(std::move(pairs)), max_position_(0), grid_(std::move(grid)) {
-  assert(grid_.positions() == pairs_.size());
+  if (grid_.positions() != pairs_.size()) {
+    std::fprintf(stderr, "PairAccumulator: %zu grid rows for %zu pairs\n",
+                 grid_.positions(), pairs_.size());
+    std::abort();
+  }
   for (const auto& [a, b] : pairs_) {
-    assert(a >= 1 && a < b);
+    if (a < 1 || a >= b) {
+      std::fprintf(stderr,
+                   "PairAccumulator: pair (%u, %u) is not 1-based with a < b\n", a, b);
+      std::abort();
+    }
     max_position_ = std::max<size_t>(max_position_, b);
   }
 }
@@ -147,8 +156,8 @@ class LongTermDigraphShardSink : public StreamShardSink {
   LongTermDigraphShardSink() : cells_(256 * 65536, 0) {}
 
   void ConsumeChunk(std::span<const uint8_t> chunk, size_t owned) override {
-    // chunk_bytes is a 256-multiple and owned positions restart at 0 each
-    // key, so owned position `off` always sits at counter class off % 256.
+    // kLongTermChunkBytes is a 256-multiple and owned positions restart at
+    // 0 each key, so owned position `off` always sits at counter class off % 256.
     for (size_t base = 0; base < owned; base += 256) {
       const uint8_t* block = chunk.data() + base;
       for (size_t off = 0; off < 256; ++off) {
@@ -195,7 +204,8 @@ class AlignedPairShardSink : public StreamShardSink {
 
   void ConsumeChunk(std::span<const uint8_t> chunk, size_t owned) override {
     for (size_t base = 0; base < owned; base += 256) {
-      const uint8_t* block = chunk.data() + base;
+      // The block's Z_{256w} (see AlignedPairAccumulator::Lookahead()).
+      const uint8_t* block = chunk.data() + base + 255;
       cells_[static_cast<size_t>(block[offset_a_]) * 256 + block[offset_b_]] += 1;
     }
   }
@@ -229,7 +239,17 @@ void AbsabAccumulator::MergeShard(StreamShardSink& shard, uint64_t keys,
   const auto local = static_cast<AbsabShardSink&>(shard).matches();
   for (size_t g = 0; g < matches_.size(); ++g) {
     matches_[g] += local[g];
-    samples_[g] += keys * owned_per_key;
+  }
+  samples_ += keys * owned_per_key;
+}
+
+AlignedPairAccumulator::AlignedPairAccumulator(uint32_t offset_a, uint32_t offset_b)
+    : offset_a_(offset_a), offset_b_(offset_b), counts_(65536, 0) {
+  if (offset_a >= offset_b || offset_b >= 256) {
+    std::fprintf(stderr,
+                 "AlignedPairAccumulator: offsets (%u, %u) need a < b < 256\n",
+                 offset_a, offset_b);
+    std::abort();
   }
 }
 

@@ -1,6 +1,7 @@
 // Concrete BiasAccumulator / StreamAccumulator implementations feeding the
 // grids in src/stats/counters.h. These are the engine-side halves of every
-// grid kind in src/store/grid_file.h and of src/biases/dataset.h:
+// grid kind in src/store/grid_file.h and of the aligned pairs in
+// src/biases/dataset.h; callers run AbsabAccumulator directly:
 //
 //   short-term (RunKeystreamEngine)        long-term (RunLongTermEngine)
 //   ------------------------------------   ---------------------------------
@@ -10,7 +11,9 @@
 //
 // Short-term shard sinks keep one cache-aligned 16-bit tile, which
 // MergeShard() flushes straight into the 64-bit grid (see kMaxKeysPerMerge);
-// long-term sinks keep 32/64-bit shard-local blocks merged once per shard.
+// long-term sinks keep 32/64-bit shard-local blocks merged once per shard,
+// and count each window independently of the others (the engine delivers
+// the windows of a lockstep group round-robin; see StreamShardSink).
 #ifndef SRC_ENGINE_ACCUMULATORS_H_
 #define SRC_ENGINE_ACCUMULATORS_H_
 
@@ -105,40 +108,41 @@ class LongTermDigraphAccumulator : public StreamAccumulator {
 };
 
 // ABSAB match counts per gap g in [0, max_gap]: position r matches when
-// Z_r = Z_{r+g+2} and Z_{r+1} = Z_{r+g+3}.
+// Z_r = Z_{r+g+2} and Z_{r+1} = Z_{r+g+3}. Every gap is tested at every
+// owned position, so all gaps share one sample count.
 class AbsabAccumulator : public StreamAccumulator {
  public:
   explicit AbsabAccumulator(uint64_t max_gap)
-      : max_gap_(max_gap),
-        matches_(max_gap + 1, 0),
-        samples_(max_gap + 1, 0) {}
+      : max_gap_(max_gap), matches_(max_gap + 1, 0) {}
 
   size_t Lookahead() const override { return static_cast<size_t>(max_gap_) + 3; }
   std::unique_ptr<StreamShardSink> MakeShard() override;
   void MergeShard(StreamShardSink& shard, uint64_t keys,
                   uint64_t owned_per_key) override;
 
+  // Indexed by gap.
   const std::vector<uint64_t>& matches() const { return matches_; }
-  const std::vector<uint64_t>& samples() const { return samples_; }
+  // Positions tested per gap.
+  uint64_t samples() const { return samples_; }
 
  private:
   uint64_t max_gap_;
   std::vector<uint64_t> matches_;
-  std::vector<uint64_t> samples_;
+  uint64_t samples_ = 0;
 };
 
 // 256-aligned digraphs (Z_{256w + a}, Z_{256w + b}) for one offset pair
-// 0 <= a < b < 256, relative to the paper's Z_{256w} block numbering.
+// 0 <= a < b < 256 (checked in every build), relative to the paper's
+// Z_{256w} block numbering.
 class AlignedPairAccumulator : public StreamAccumulator {
  public:
-  AlignedPairAccumulator(uint32_t offset_a, uint32_t offset_b)
-      : offset_a_(offset_a), offset_b_(offset_b), counts_(65536, 0) {}
+  AlignedPairAccumulator(uint32_t offset_a, uint32_t offset_b);
 
-  size_t Lookahead() const override { return 0; }
-  // Realign so that owned position 0 sits on the paper's Z_{256w} boundary
-  // (with drop a positive multiple of 256, the first post-drop byte is
-  // Z_{drop+1}; skipping 255 more makes it Z_{drop+256}).
-  uint64_t ExtraDrop() const override { return 255; }
+  // Window byte p is Z_{drop+1+p} (for the first window of a key). With drop
+  // a multiple of 256, byte base + 255 of each owned 256-byte block is a
+  // paper Z_{256w}, so the sink reads bytes base + 255 + a and base + 255 + b,
+  // at most 255 bytes past the block's last owned byte.
+  size_t Lookahead() const override { return 255; }
   std::unique_ptr<StreamShardSink> MakeShard() override;
   void MergeShard(StreamShardSink& shard, uint64_t keys,
                   uint64_t owned_per_key) override;

@@ -1,6 +1,7 @@
 #include "src/engine/keystream_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -66,92 +67,47 @@ void FillRowsWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
 // Long-term streaming generation.
 
 struct StreamPlan {
-  size_t chunk = 0;
   size_t lookahead = 0;
   uint64_t full_chunks = 0;
   size_t tail = 0;
-  uint64_t drop = 0;  // options.drop + accumulator.ExtraDrop(), hoisted
+  uint64_t drop = 0;
 };
 
-// One key, scalar: prime the lookahead, then slide overlapping windows.
-// `buffer` is one stream row of chunk + lookahead bytes.
-void StreamKeyScalar(Rc4& rc4, StreamShardSink& sink, const StreamPlan& plan,
-                     uint8_t* buffer) {
-  rc4.Keystream(std::span<uint8_t>(buffer, plan.lookahead));
+// Draws M keys and streams them through `sink` in lockstep: one row of
+// `buffer` per key (stride kLongTermChunkBytes + lookahead), the lookahead
+// primed once, then each window generated for all M keys and delivered
+// round-robin in key order (see the StreamShardSink ordering note in
+// keystream_engine.h). Each row slides its trailing lookahead bytes to the
+// front before the next window.
+template <size_t M>
+void StreamGroup(Rc4KeyGenerator& keygen, StreamShardSink& sink,
+                 const StreamPlan& plan, uint8_t* buffer) {
+  std::array<uint8_t, M * kKeySize> keys;
+  keygen.NextKeys(keys);
+  Rc4MultiStream<M> rc4(keys, kKeySize);
+  if (plan.drop != 0) {
+    rc4.Skip(plan.drop);
+  }
+  const size_t stride = kLongTermChunkBytes + plan.lookahead;
+  rc4.Keystream(buffer, plan.lookahead, stride);
+  const auto window = [&](size_t owned) {
+    rc4.Keystream(buffer + plan.lookahead, owned, stride);
+    for (size_t m = 0; m < M; ++m) {
+      sink.ConsumeChunk(
+          std::span<const uint8_t>(buffer + m * stride, owned + plan.lookahead),
+          owned);
+    }
+  };
   for (uint64_t c = 0; c < plan.full_chunks; ++c) {
-    rc4.Keystream(std::span<uint8_t>(buffer + plan.lookahead, plan.chunk));
-    sink.ConsumeChunk(
-        std::span<const uint8_t>(buffer, plan.chunk + plan.lookahead),
-        plan.chunk);
-    if (plan.lookahead != 0) {
-      std::memmove(buffer, buffer + plan.chunk, plan.lookahead);
+    window(kLongTermChunkBytes);
+    for (size_t m = 0; m < M; ++m) {
+      std::memmove(buffer + m * stride, buffer + m * stride + kLongTermChunkBytes,
+                   plan.lookahead);
     }
   }
   if (plan.tail != 0) {
-    rc4.Keystream(std::span<uint8_t>(buffer + plan.lookahead, plan.tail));
-    sink.ConsumeChunk(
-        std::span<const uint8_t>(buffer, plan.tail + plan.lookahead),
-        plan.tail);
+    window(plan.tail);
   }
-}
-
-// `count` keys through one sink, one at a time on the scalar path — also
-// the remainder loop after lockstep groups.
-void StreamKeysScalar(Rc4KeyGenerator& keygen, StreamShardSink& sink,
-                      uint64_t count, const StreamPlan& plan, uint8_t* buffer) {
-  for (uint64_t k = 0; k < count; ++k) {
-    Rc4 rc4(keygen.NextKey());
-    if (plan.drop != 0) {
-      rc4.Skip(plan.drop);
-    }
-    StreamKeyScalar(rc4, sink, plan, buffer);
-  }
-}
-
-// `count` keys through one sink: groups of Width() keys generated in
-// lockstep into per-lane chunk buffers (rows of `buffer`, stride chunk +
-// lookahead), windows delivered round-robin in key order (see the
-// StreamShardSink ordering note in keystream_engine.h), then a scalar
-// remainder for the leftover keys.
-void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
-                          StreamShardSink& sink, uint64_t count,
-                          const StreamPlan& plan, uint8_t* buffer,
-                          uint8_t* keybuf) {
-  const size_t lanes = kernel.Width();
-  const size_t stride = plan.chunk + plan.lookahead;
-  uint64_t k = 0;
-  for (; k + lanes <= count; k += lanes) {
-    const std::span<uint8_t> keys(keybuf, lanes * kKeySize);
-    keygen.NextKeys(keys);
-    kernel.Init(keys, kKeySize);
-    if (plan.drop != 0) {
-      kernel.Skip(plan.drop);
-    }
-    kernel.Keystream(buffer, plan.lookahead, stride);
-    for (uint64_t c = 0; c < plan.full_chunks; ++c) {
-      kernel.Keystream(buffer + plan.lookahead, plan.chunk, stride);
-      for (size_t m = 0; m < lanes; ++m) {
-        sink.ConsumeChunk(std::span<const uint8_t>(buffer + m * stride,
-                                                   plan.chunk + plan.lookahead),
-                          plan.chunk);
-      }
-      if (plan.lookahead != 0) {
-        for (size_t m = 0; m < lanes; ++m) {
-          std::memmove(buffer + m * stride, buffer + m * stride + plan.chunk,
-                       plan.lookahead);
-        }
-      }
-    }
-    if (plan.tail != 0) {
-      kernel.Keystream(buffer + plan.lookahead, plan.tail, stride);
-      for (size_t m = 0; m < lanes; ++m) {
-        sink.ConsumeChunk(std::span<const uint8_t>(buffer + m * stride,
-                                                   plan.tail + plan.lookahead),
-                          plan.tail);
-      }
-    }
-  }
-  StreamKeysScalar(keygen, sink, count - k, plan, buffer);
 }
 
 }  // namespace
@@ -213,16 +169,12 @@ void RunLongTermEngine(const LongTermEngineOptions& options,
                        StreamAccumulator& accumulator) {
   StreamPlan plan;
   plan.lookahead = accumulator.Lookahead();
-  plan.chunk = std::max<size_t>(options.chunk_bytes, 256);
-  assert(plan.chunk % 256 == 0);
   // bytes_per_key rounds down to whole 256-byte blocks only; a trailing
-  // window smaller than chunk_bytes is processed separately so the chunk
-  // size never changes the sample count.
+  // window smaller than kLongTermChunkBytes carries the rest.
   const uint64_t owned_per_key = options.bytes_per_key / 256 * 256;
-  plan.full_chunks = owned_per_key / plan.chunk;
-  plan.tail = static_cast<size_t>(owned_per_key % plan.chunk);
-  plan.drop = options.drop + accumulator.ExtraDrop();
-  const KernelChoice choice = ResolveKernelChoice("", options.interleave);
+  plan.full_chunks = owned_per_key / kLongTermChunkBytes;
+  plan.tail = static_cast<size_t>(owned_per_key % kLongTermChunkBytes);
+  plan.drop = options.drop;
   std::mutex merge_mutex;
   ParallelChunks(options.keys, options.workers,
                  [&](unsigned /*shard*/, uint64_t begin, uint64_t end) {
@@ -233,18 +185,17 @@ void RunLongTermEngine(const LongTermEngineOptions& options,
       std::lock_guard<std::mutex> lock(merge_mutex);
       sink = accumulator.MakeShard();
     }
-    std::unique_ptr<Rc4LaneKernel> kernel =
-        choice.width > 1 ? choice.kernel->make(choice.width) : nullptr;
-    assert(choice.width == 1 || kernel != nullptr);  // resolution guarantees it
-    std::vector<uint8_t> keybuf(choice.width * kKeySize);
-    // One chunk-buffer row per lockstep lane, cache-aligned like the
-    // short-term batch buffer.
-    AlignedVector<uint8_t> buffer(choice.width * (plan.chunk + plan.lookahead), 0);
-    if (kernel != nullptr) {
-      StreamKeysWithKernel(*kernel, keygen, *sink, end - begin, plan,
-                           buffer.data(), keybuf.data());
-    } else {
-      StreamKeysScalar(keygen, *sink, end - begin, plan, buffer.data());
+    // One window row per lockstep lane, cache-aligned like the short-term
+    // batch buffer. Full groups run kLaneWidth keys, the remainder one key
+    // at a time.
+    AlignedVector<uint8_t> buffer(kLaneWidth * (kLongTermChunkBytes + plan.lookahead),
+                                  0);
+    uint64_t k = begin;
+    for (; k + kLaneWidth <= end; k += kLaneWidth) {
+      StreamGroup<kLaneWidth>(keygen, *sink, plan, buffer.data());
+    }
+    for (; k < end; ++k) {
+      StreamGroup<1>(keygen, *sink, plan, buffer.data());
     }
     std::lock_guard<std::mutex> lock(merge_mutex);
     accumulator.MergeShard(*sink, end - begin, owned_per_key);

@@ -115,20 +115,24 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
 // ------------------------------------------------------------------------
 // Long-term (streaming) mode.
 
+// Owned bytes per long-term window. Sinks rely on each window starting on a
+// 256-byte block boundary of its key's stream.
+inline constexpr size_t kLongTermChunkBytes = size_t{1} << 16;
+static_assert(kLongTermChunkBytes % 256 == 0);
+
 // Shard-private consumer of one key's long keystream, delivered as
 // overlapping windows chunk[0 .. owned + Lookahead()): the first `owned`
 // positions belong to this call; the trailing Lookahead() bytes are context
 // shared with the next window (a digraph or ABSAB pattern starting at an
 // owned position may read up to Lookahead() bytes past it).
 //
-// Window ordering: each key's windows always arrive in stream order, and
-// every window's base offset within its key is a multiple of chunk_bytes
-// (itself a 256-multiple), but on the lane-kernel path the engine generates
-// kLaneWidth keys in lockstep and round-robins their windows — window w of
-// key k, then window w of key k+1, ... A window does not say which key it
-// came from. Sinks that accumulate commutative per-window counters (all
-// current ones) are unaffected; a sink that needs strictly sequential per-key
-// delivery must be run with LongTermEngineOptions::interleave = 1.
+// Window ordering: each key's windows arrive in stream order, and every
+// window's base offset within its key is a multiple of kLongTermChunkBytes.
+// The engine generates kLaneWidth keys in lockstep and round-robins their
+// windows — window w of key k, then window w of key k+1, ... — and a window
+// does not say which key it came from. Every sink must therefore be
+// commutative per window: its counts may depend only on the multiset of
+// windows it sees, not on their order.
 class StreamShardSink {
  public:
   virtual ~StreamShardSink() = default;
@@ -142,10 +146,6 @@ class StreamAccumulator {
 
   // Context bytes past the owned region each window must carry.
   virtual size_t Lookahead() const = 0;
-
-  // Extra per-key drop on top of LongTermEngineOptions::drop (e.g. the
-  // aligned-digraph dataset realigns to a 256-block boundary).
-  virtual uint64_t ExtraDrop() const { return 0; }
 
   virtual std::unique_ptr<StreamShardSink> MakeShard() = 0;
 
@@ -162,15 +162,13 @@ struct LongTermEngineOptions {
   unsigned workers = 0;
   uint64_t seed = 1;
   uint64_t first_key = 0;  // global key-range offset (see EngineOptions)
-  size_t chunk_bytes = 1 << 16;  // owned bytes per window (multiple of 256)
-  // 0 = the lane kernel, 1 = the scalar reference path (see
-  // EngineOptions::interleave and the StreamShardSink window-ordering note).
-  size_t interleave = 0;
 };
 
 // Streams `bytes_per_key` keystream bytes per key (rounded down to whole
-// 256-byte blocks; the chunk size never changes the sample count) through
-// per-shard stream sinks. Sharding-invariant exactly like RunKeystreamEngine.
+// 256-byte blocks) through per-shard stream sinks, as kLongTermChunkBytes
+// windows plus one shorter tail window. Each shard runs its keys in lockstep
+// groups of kLaneWidth and the remaining keys % kLaneWidth one at a time.
+// Sharding-invariant exactly like RunKeystreamEngine.
 void RunLongTermEngine(const LongTermEngineOptions& options,
                        StreamAccumulator& accumulator);
 

@@ -1,6 +1,6 @@
 // Type-erased RC4 lane kernel: W independent RC4 streams advanced in
 // lockstep behind one virtual interface, built through KernelDesc::make by
-// the engines and perfbench's replay. The only implementation is
+// the short-term engine and perfbench's replay. The only implementation is
 // Rc4MultiStream<kLaneWidth> (src/rc4/kernel_registry.cc).
 //
 // The contract is exactly Rc4MultiStream's (src/rc4/rc4_multi.h): after

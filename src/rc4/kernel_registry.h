@@ -3,9 +3,10 @@
 // There is one kernel: the portable round-robin Rc4MultiStream behind the
 // Rc4LaneKernel interface, at kLaneWidth lanes. ResolveKernelChoice maps an
 // interleave setting (0 = the lane kernel, 1 = the scalar reference path) to
-// a lane count; RunKeystreamEngine, RunLongTermEngine and perfbench's replay
-// all call it, so they run the same width. docs/engine.md records why
-// ISA-specific kernels and other widths were measured and dropped.
+// a lane count; RunKeystreamEngine and perfbench's replay both call it, so
+// they run the same width (RunLongTermEngine uses Rc4MultiStream directly).
+// docs/engine.md records why ISA-specific kernels and other widths were
+// measured and dropped.
 #ifndef SRC_RC4_KERNEL_REGISTRY_H_
 #define SRC_RC4_KERNEL_REGISTRY_H_
 

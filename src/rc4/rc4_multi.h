@@ -10,9 +10,10 @@
 // scalar Rc4 over the same key; the kernel only changes the schedule, never
 // the math. tests/rc4/rc4_multi_test.cc pins this for every supported M.
 //
-// This is the hot-path kernel under src/engine/keystream_engine.cc; the
-// engine runs it at kLaneWidth and falls back to scalar Rc4 for tail groups
-// smaller than that.
+// This is the hot-path kernel under src/engine/keystream_engine.cc. The
+// short-term engine runs it at kLaneWidth and falls back to scalar Rc4 for
+// tail groups smaller than that; the long-term engine runs the leftover keys
+// at M = 1.
 #ifndef SRC_RC4_RC4_MULTI_H_
 #define SRC_RC4_RC4_MULTI_H_
 
@@ -27,8 +28,8 @@
 namespace rc4b {
 
 // M independent RC4 instances in lockstep. M is a compile-time width so the
-// per-byte round-robin loop fully unrolls; the engine instantiates only
-// kLaneWidth, the tests sweep other widths.
+// per-byte round-robin loop fully unrolls; the engines instantiate
+// kLaneWidth and 1, the tests sweep other widths.
 template <size_t M>
 class Rc4MultiStream {
  public:

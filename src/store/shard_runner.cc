@@ -7,7 +7,7 @@
 #include "src/common/fault_injector.h"
 #include "src/engine/accumulators.h"
 #include "src/engine/keystream_engine.h"
-#include "src/rc4/kernel_registry.h"
+#include "src/rc4/rc4_multi.h"
 
 namespace rc4b::store {
 
@@ -16,6 +16,8 @@ namespace {
 // Adds keys [begin, end) of `grid->meta`'s dataset into `grid` in place:
 // its cells move into the engine accumulator for the kind and back out, and
 // both engines add into that accumulator's grid, so nothing is copied.
+// `interleave` == 1 selects the short-term scalar reference path; the
+// long-term engine has one path. The meta records the lockstep width used.
 void GenerateInto(StoredGrid* grid, uint64_t begin, uint64_t end,
                   unsigned workers, size_t interleave) {
   const GridMeta& meta = grid->meta;
@@ -25,7 +27,6 @@ void GenerateInto(StoredGrid* grid, uint64_t begin, uint64_t end,
       options.first_key = begin;
       options.seed = meta.seed;
       options.workers = workers;
-      options.interleave = interleave;
       return options;
     };
     if constexpr (std::is_same_v<decltype(accumulator), LongTermDigraphAccumulator>) {
@@ -33,8 +34,12 @@ void GenerateInto(StoredGrid* grid, uint64_t begin, uint64_t end,
       options.bytes_per_key = meta.bytes_per_key;
       options.drop = meta.drop;
       RunLongTermEngine(options, accumulator);
+      grid->meta.interleave = kLaneWidth;
     } else {
-      RunKeystreamEngine(range(EngineOptions{}), accumulator);
+      EngineOptions options = range(EngineOptions{});
+      options.interleave = interleave;
+      RunKeystreamEngine(options, accumulator);
+      grid->meta.interleave = interleave == 1 ? 1 : kLaneWidth;
     }
     grid->meta.samples = accumulator.grid().keys();
     grid->cells = accumulator.TakeGrid().TakeCells();
@@ -54,7 +59,6 @@ void GenerateInto(StoredGrid* grid, uint64_t begin, uint64_t end,
       run(LongTermDigraphAccumulator(DigraphGrid(std::move(cells), meta.samples)));
       break;
   }
-  grid->meta.interleave = ResolveKernelChoice("", interleave).width;
 }
 
 }  // namespace

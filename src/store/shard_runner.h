@@ -22,9 +22,10 @@ namespace rc4b::store {
 
 // Generates the grid described by `meta` in-process over its full key range,
 // through the same per-kind dispatch as the shard runner (used by the cache
-// and the reference-grid tool). `interleave` is 0 for the lane kernel or 1
-// for the scalar reference path (see EngineOptions::interleave); the cells
-// are identical either way.
+// and the reference-grid tool). For short-term kinds `interleave` is 0 for
+// the lane kernel or 1 for the scalar reference path (see
+// EngineOptions::interleave); the cells are identical either way. The
+// long-term kind has one engine path and ignores it.
 StoredGrid GenerateStoredGrid(const GridMeta& meta, unsigned workers,
                               size_t interleave);
 

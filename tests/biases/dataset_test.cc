@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/engine/accumulators.h"
+#include "src/rc4/keygen.h"
+#include "src/rc4/rc4.h"
 #include "src/store/grid_cache.h"
 
 namespace rc4b {
@@ -142,7 +145,7 @@ TEST(DatasetTest, LongTermDatasetStructure) {
   EXPECT_EQ(again.Count(200, 255, 201), grid.Count(200, 255, 201));
 }
 
-TEST(DatasetTest, AbsabCountsBookkeeping) {
+TEST(DatasetTest, AbsabAccumulatorBookkeeping) {
   // The ABSAB match rate sits within noise of 2^-16 at unit-test scale
   // (detecting the 2^-8-relative bias is the absab-gap bench's job); check
   // the counting machinery: sample totals, plausible rates, determinism.
@@ -151,19 +154,20 @@ TEST(DatasetTest, AbsabCountsBookkeeping) {
   options.bytes_per_key = 1 << 20;
   options.workers = 4;
   options.seed = 13;
-  const auto counts = GenerateAbsabDataset(8, options);
-  ASSERT_EQ(counts.matches.size(), 9u);
-  ASSERT_EQ(counts.samples.size(), 9u);
+  AbsabAccumulator counts(8);
+  RunLongTermEngine(options, counts);
+  ASSERT_EQ(counts.matches().size(), 9u);
+  EXPECT_EQ(counts.samples(), 8u << 20);
   for (uint64_t g = 0; g <= 8; ++g) {
-    EXPECT_EQ(counts.samples[g], 8u << 20) << "gap " << g;
-    const double rate = static_cast<double>(counts.matches[g]) /
-                        static_cast<double>(counts.samples[g]);
+    const double rate = static_cast<double>(counts.matches()[g]) /
+                        static_cast<double>(counts.samples());
     // Within 10 sigma of uniform (sigma ~ 2^-16 / sqrt(counts)).
     EXPECT_NEAR(rate, 0x1.0p-16, 10 * std::sqrt(0x1.0p-16 / (8.0 * (1 << 20))))
         << "gap " << g;
   }
-  const auto again = GenerateAbsabDataset(8, options);
-  EXPECT_EQ(again.matches, counts.matches);
+  AbsabAccumulator again(8);
+  RunLongTermEngine(options, again);
+  EXPECT_EQ(again.matches(), counts.matches());
 }
 
 TEST(DatasetTest, AlignedPairDatasetTotals) {
@@ -178,6 +182,41 @@ TEST(DatasetTest, AlignedPairDatasetTotals) {
     total += c;
   }
   EXPECT_EQ(total, options.keys * (options.bytes_per_key / 256));
+}
+
+TEST(DatasetTest, AlignedPairsCountPaperBlocks) {
+  // Counted straight from scalar Rc4 streams, 1-based like the paper: with
+  // drop a multiple of 256, the first owned block starts at Z_{drop+256}.
+  LongTermEngineOptions options;
+  options.keys = 3;
+  options.bytes_per_key = 5 * 256 + 17;  // rounds down to 5 blocks
+  options.drop = 512;
+  options.workers = 2;
+  options.seed = 41;
+  const uint32_t a = 1;
+  const uint32_t b = 200;
+  std::vector<uint64_t> want(65536, 0);
+  Rc4KeyGenerator keygen(options.seed);
+  std::vector<uint8_t> z(options.drop + 7 * 256);  // z[i - 1] = Z_i
+  for (uint64_t k = 0; k < options.keys; ++k) {
+    Rc4 rc4(keygen.NextKey());
+    rc4.Keystream(z);
+    for (uint64_t w = options.drop + 256; w < options.drop + 6 * 256; w += 256) {
+      want[static_cast<size_t>(z[w + a - 1]) * 256 + z[w + b - 1]] += 1;
+    }
+  }
+  EXPECT_EQ(GenerateAlignedPairDataset(a, b, options), want);
+}
+
+TEST(DatasetDeathTest, AlignedPairsNeedDropOnTheBlockGrid) {
+  // Any other drop mislabels every block; checked in every build type.
+  LongTermEngineOptions options;
+  options.keys = 1;
+  options.bytes_per_key = 256;
+  options.drop = 0;
+  EXPECT_DEATH(GenerateAlignedPairDataset(0, 2, options), "drop 0 is not");
+  options.drop = 1000;
+  EXPECT_DEATH(GenerateAlignedPairDataset(0, 2, options), "drop 1000 is not");
 }
 
 }  // namespace

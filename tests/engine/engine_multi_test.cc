@@ -1,24 +1,28 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/engine/accumulators.h"
 #include "src/engine/keystream_engine.h"
+#include "src/rc4/keygen.h"
+#include "src/rc4/rc4.h"
 #include "src/rc4/rc4_multi.h"
 
 namespace rc4b {
 namespace {
 
-// Engine-level bit-exactness of the lockstep lane kernel: every
-// accumulator's merged grid must equal the scalar reference path
-// (interleave = 1) for 1/2/4 workers, including tail groups
-// (keys % kLaneWidth != 0) and nonzero drop. This is the golden-output
-// guarantee that lets the kernel be the default batch producer.
+// Engine-level bit-exactness of the lockstep lane kernel, for 1/2/4 workers,
+// tail groups (keys % kLaneWidth != 0) and nonzero drop. Short-term grids
+// must equal the scalar reference path (interleave = 1); long-term counts
+// must equal an oracle that feeds each key's whole scalar Rc4 stream to the
+// sink as one window. This is the golden-output guarantee that lets the
+// kernel be the only long-term producer and the default short-term one.
 
 constexpr unsigned kWorkerCounts[] = {1, 2, 4};
 // Key and batch counts that leave scalar tails after the lockstep groups.
 constexpr uint64_t kShortTermKeys = 1037;
 constexpr size_t kBatchKeys = 45;
-// At 4 workers every shard still runs one full lockstep group.
-constexpr uint64_t kLongTermKeys = 4 * kLaneWidth + 5;
 static_assert(kShortTermKeys % kLaneWidth != 0 && kBatchKeys % kLaneWidth != 0);
 
 // interleave: 0 = the lane kernel, 1 = the scalar reference path.
@@ -34,27 +38,16 @@ EngineOptions ShortTermOptions(size_t interleave, unsigned workers) {
 }
 
 // Runs the lane kernel at each worker count and the scalar path on one
-// worker, and compares the accumulators with `same`.
-template <typename Accumulator, typename Make, typename Same, typename Run,
-          typename Options>
-void ExpectLockstepMatchesScalar(Make make, Same same, Run run,
-                                 Options (*options)(size_t, unsigned)) {
-  Accumulator reference = make();
-  run(options(1, 1), reference);
-  for (const unsigned workers : kWorkerCounts) {
-    Accumulator lockstep = make();
-    run(options(0, workers), lockstep);
-    ASSERT_TRUE(same(reference, lockstep)) << "workers=" << workers;
-  }
-}
-
+// worker, and compares the grids.
 template <typename Accumulator, typename Make>
 void ExpectShortTermMatches(Make make) {
-  ExpectLockstepMatchesScalar<Accumulator>(
-      make,
-      [](const Accumulator& a, const Accumulator& b) { return a.grid() == b.grid(); },
-      [](const EngineOptions& o, Accumulator& acc) { RunKeystreamEngine(o, acc); },
-      ShortTermOptions);
+  Accumulator reference = make();
+  RunKeystreamEngine(ShortTermOptions(1, 1), reference);
+  for (const unsigned workers : kWorkerCounts) {
+    Accumulator lockstep = make();
+    RunKeystreamEngine(ShortTermOptions(0, workers), lockstep);
+    ASSERT_TRUE(reference.grid() == lockstep.grid()) << "workers=" << workers;
+  }
 }
 
 TEST(EngineMultiStreamTest, SingleByteGridMatchesScalarPath) {
@@ -70,47 +63,75 @@ TEST(EngineMultiStreamTest, PairGridMatchesScalarPath) {
   ExpectShortTermMatches<PairAccumulator>([&] { return PairAccumulator(pairs); });
 }
 
-LongTermEngineOptions LongTermRunOptions(size_t interleave, unsigned workers) {
+// The long-term oracle: each key's whole stream from scalar Rc4, handed to
+// one shard sink as a single window, so none of the engine's windowing,
+// lookahead carry, lockstep groups or remainder runs.
+template <typename Accumulator>
+void RunLongTermOracle(const LongTermEngineOptions& options, Accumulator& accumulator) {
+  Rc4KeyGenerator keygen(options.seed);
+  keygen.Seek(options.first_key);
+  const uint64_t owned = options.bytes_per_key / 256 * 256;
+  std::vector<uint8_t> stream(owned + accumulator.Lookahead());
+  const std::unique_ptr<StreamShardSink> sink = accumulator.MakeShard();
+  for (uint64_t k = 0; k < options.keys; ++k) {
+    Rc4 rc4(keygen.NextKey());
+    rc4.Skip(options.drop);
+    rc4.Keystream(stream);
+    sink->ConsumeChunk(stream, owned);
+  }
+  accumulator.MergeShard(*sink, options.keys, owned);
+}
+
+// At 1, 2 and 4 workers every shard runs at least one full lockstep group
+// and a one-lane remainder (9 or 10 keys per shard at 4 workers).
+constexpr uint64_t kLongTermKeys = 37;
+static_assert(kLongTermKeys % kLaneWidth != 0 && kLongTermKeys / 4 > kLaneWidth &&
+              kLongTermKeys / 4 + 1 < 2 * kLaneWidth);
+
+// Each key has one full kLongTermChunkBytes window and a 512-byte tail.
+LongTermEngineOptions LongTermRunOptions(unsigned workers) {
   LongTermEngineOptions options;
   options.keys = kLongTermKeys;
-  options.bytes_per_key = (1 << 13) + 512;  // tail window below chunk_bytes
+  options.bytes_per_key = kLongTermChunkBytes + 512;
   options.drop = 512;
   options.workers = workers;
   options.seed = 29;
-  options.chunk_bytes = 1 << 12;
-  options.interleave = interleave;
   return options;
 }
 
+// Runs the engine at each worker count and compares it with the oracle
+// using `same`.
 template <typename Accumulator, typename Make, typename Same>
-void ExpectLongTermMatches(Make make, Same same) {
-  ExpectLockstepMatchesScalar<Accumulator>(
-      make, same,
-      [](const LongTermEngineOptions& o, Accumulator& acc) { RunLongTermEngine(o, acc); },
-      LongTermRunOptions);
+void ExpectLongTermMatchesOracle(Make make, Same same) {
+  Accumulator reference = make();
+  RunLongTermOracle(LongTermRunOptions(1), reference);
+  for (const unsigned workers : kWorkerCounts) {
+    Accumulator engine = make();
+    RunLongTermEngine(LongTermRunOptions(workers), engine);
+    ASSERT_TRUE(same(reference, engine)) << "workers=" << workers;
+  }
 }
 
-TEST(EngineMultiStreamTest, LongTermDigraphGridMatchesScalarPath) {
-  ExpectLongTermMatches<LongTermDigraphAccumulator>(
+TEST(EngineMultiStreamTest, LongTermDigraphGridMatchesOracle) {
+  ExpectLongTermMatchesOracle<LongTermDigraphAccumulator>(
       [] { return LongTermDigraphAccumulator(); },
       [](const LongTermDigraphAccumulator& a, const LongTermDigraphAccumulator& b) {
         return a.grid() == b.grid();
       });
 }
 
-TEST(EngineMultiStreamTest, AbsabMatchesScalarPath) {
-  // ABSAB exercises lookahead carry across lockstep windows.
-  ExpectLongTermMatches<AbsabAccumulator>(
+TEST(EngineMultiStreamTest, AbsabMatchesOracle) {
+  // ABSAB exercises lookahead carry across windows.
+  ExpectLongTermMatchesOracle<AbsabAccumulator>(
       [] { return AbsabAccumulator(6); },
       [](const AbsabAccumulator& a, const AbsabAccumulator& b) {
         return a.matches() == b.matches() && a.samples() == b.samples();
       });
 }
 
-TEST(EngineMultiStreamTest, AlignedPairsMatchScalarPath) {
-  // AlignedPair exercises the hoisted ExtraDrop() (255-byte realignment) on
-  // both paths.
-  ExpectLongTermMatches<AlignedPairAccumulator>(
+TEST(EngineMultiStreamTest, AlignedPairsMatchOracle) {
+  // AlignedPair reads 255 lookahead bytes past every block, across windows.
+  ExpectLongTermMatchesOracle<AlignedPairAccumulator>(
       [] { return AlignedPairAccumulator(0, 2); },
       [](const AlignedPairAccumulator& a, const AlignedPairAccumulator& b) {
         return a.counts() == b.counts();

@@ -139,7 +139,6 @@ TEST(LongTermEngineTest, StreamingShardingIsBitExact) {
   options.bytes_per_key = 1 << 14;
   options.drop = 1024;
   options.seed = 17;
-  options.chunk_bytes = 1 << 12;
 
   options.workers = 1;
   LongTermDigraphAccumulator single;
@@ -167,28 +166,20 @@ TEST(LongTermEngineTest, StreamingShardingIsBitExact) {
   EXPECT_EQ(aligned_single.counts(), aligned_sharded.counts());
 }
 
-TEST(LongTermEngineTest, ChunkSizeDoesNotChangeCounts) {
-  LongTermEngineOptions options;
-  options.keys = 4;
-  // Not a multiple of any power-of-two chunk: exercises the tail window.
-  options.bytes_per_key = (1 << 14) + 512;
-  options.drop = 256;
-  options.seed = 19;
-  options.workers = 2;
+// Accumulator invariants hold in every build type, not only under assert:
+// a pair at position 0 would read keystream[0xFFFFFFFF].
+TEST(AccumulatorDeathTest, PairAccumulatorRejectsBadPairs) {
+  using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+  EXPECT_DEATH(PairAccumulator(Pairs{{0, 2}}), "pair \\(0, 2\\)");
+  EXPECT_DEATH(PairAccumulator(Pairs{{3, 3}}), "pair \\(3, 3\\)");
+  EXPECT_DEATH(PairAccumulator(Pairs{{1, 2}}, DigraphGrid(2)),
+               "2 grid rows for 1 pairs");
+}
 
-  options.chunk_bytes = 1 << 14;
-  LongTermDigraphAccumulator coarse;
-  RunLongTermEngine(options, coarse);
-  options.chunk_bytes = 256;
-  LongTermDigraphAccumulator fine;
-  RunLongTermEngine(options, fine);
-  options.chunk_bytes = 3 * 256;  // does not divide bytes_per_key
-  LongTermDigraphAccumulator uneven;
-  RunLongTermEngine(options, uneven);
-  ExpectGridsEqual(coarse.grid(), fine.grid());
-  ExpectGridsEqual(coarse.grid(), uneven.grid());
-  // Every whole 256-byte block must be consumed: 65 blocks per key.
-  EXPECT_EQ(coarse.grid().keys(), 4u * (options.bytes_per_key / 256));
+TEST(AccumulatorDeathTest, AlignedPairAccumulatorRejectsBadOffsets) {
+  EXPECT_DEATH(AlignedPairAccumulator(2, 2), "offsets \\(2, 2\\)");
+  EXPECT_DEATH(AlignedPairAccumulator(3, 1), "offsets \\(3, 1\\)");
+  EXPECT_DEATH(AlignedPairAccumulator(0, 256), "offsets \\(0, 256\\)");
 }
 
 }  // namespace

@@ -25,8 +25,9 @@ namespace {
 
 // The kernel's whole contract: stream m of Rc4MultiStream<M> is bit-identical
 // to a scalar Rc4 over the same key, for any width M, any length, and any
-// drop. The engine runs only kLaneWidth; sweeping M keeps the template honest
-// for a future re-measurement. The engine's batch/grid bit-exactness rests on
+// drop. The engines run kLaneWidth, and the long-term engine runs M = 1 for
+// the keys left over after its full groups; sweeping the other widths keeps
+// the template honest for a future re-measurement. The engine's batch/grid bit-exactness rests on
 // this.
 
 Bytes RandomKeys(size_t count, size_t key_size, uint64_t seed) {
@@ -77,6 +78,7 @@ void SweepLengthsAndDrops(uint64_t seed) {
 }
 
 TEST(Rc4MultiStreamTest, MatchesScalarForEverySupportedWidth) {
+  SweepLengthsAndDrops<1>(6);
   SweepLengthsAndDrops<2>(1);
   SweepLengthsAndDrops<4>(2);
   SweepLengthsAndDrops<8>(3);

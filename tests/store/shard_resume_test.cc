@@ -6,9 +6,13 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/rc4/keygen.h"
+#include "src/rc4/rc4.h"
+#include "src/rc4/rc4_multi.h"
 #include "src/store/merge.h"
 #include "src/store/shard_runner.h"
 
@@ -88,27 +92,52 @@ TEST(ShardResumeTest, KilledShardResumesBitExactlyForEveryKind) {
   }
 }
 
-TEST(ShardResumeTest, ScalarReferencePathStoresIdenticalCells) {
-  // interleave survives below the CLI only as this oracle switch: the
-  // scalar path (1) and the lane kernel (0) must store the same cells, with
-  // tail groups on both workers (2 * kLaneWidth + 3 long-term keys).
-  for (const GridKind kind :
-       {GridKind::kSingleByte, GridKind::kConsecutive, GridKind::kPair,
-        GridKind::kLongTermDigraph}) {
-    SCOPED_TRACE(GridKindName(kind));
-    GridMeta meta = SmallMeta(kind);
-    if (kind == GridKind::kLongTermDigraph) {
-      meta.key_end = 19;
+// Longterm-digraph cells counted straight from scalar Rc4 streams, with no
+// engine, sink or window in between: row (r - 1) mod 256 counts (Z_r, Z_{r+1})
+// for the owned positions r after the drop.
+AlignedVector<uint64_t> ScalarLongTermDigraphCells(const GridMeta& meta) {
+  AlignedVector<uint64_t> cells(meta.cell_count(), 0);
+  Rc4KeyGenerator keygen(meta.seed);
+  keygen.Seek(meta.key_begin);
+  const uint64_t owned = meta.bytes_per_key / 256 * 256;
+  std::vector<uint8_t> z(owned + 1);
+  for (uint64_t k = meta.key_begin; k < meta.key_end; ++k) {
+    Rc4 rc4(keygen.NextKey());
+    rc4.Skip(meta.drop);
+    rc4.Keystream(z);
+    for (uint64_t r = 0; r < owned; ++r) {
+      cells[r % 256 * 65536 + static_cast<size_t>(z[r]) * 256 + z[r + 1]] += 1;
     }
+  }
+  return cells;
+}
+
+TEST(ShardResumeTest, ScalarReferencePathStoresIdenticalCells) {
+  // For short-term kinds interleave survives below the CLI only as this
+  // oracle switch: the scalar path (1) and the lane kernel (0) must store the
+  // same cells, with tail groups on both workers. The long-term kind has one
+  // engine path, which must store the cells of a direct scalar count, with a
+  // lockstep group and a one-lane remainder on both workers
+  // (2 * kLaneWidth + 3 keys).
+  for (const GridKind kind :
+       {GridKind::kSingleByte, GridKind::kConsecutive, GridKind::kPair}) {
+    SCOPED_TRACE(GridKindName(kind));
+    const GridMeta meta = SmallMeta(kind);
     const StoredGrid scalar = GenerateStoredGrid(meta, 2, 1);
     const StoredGrid lockstep = GenerateStoredGrid(meta, 2, 0);
     EXPECT_EQ(scalar.meta.samples, lockstep.meta.samples);
     EXPECT_EQ(scalar.meta.interleave, 1u);
-    EXPECT_EQ(lockstep.meta.interleave, 8u);
+    EXPECT_EQ(lockstep.meta.interleave, kLaneWidth);
     ASSERT_EQ(scalar.cells.size(), meta.cell_count());
     EXPECT_TRUE(std::equal(scalar.cells.begin(), scalar.cells.end(),
                            lockstep.cells.begin(), lockstep.cells.end()));
   }
+  GridMeta meta = SmallMeta(GridKind::kLongTermDigraph);
+  meta.key_end = 2 * kLaneWidth + 3;
+  const StoredGrid lockstep = GenerateStoredGrid(meta, 2, 0);
+  EXPECT_EQ(lockstep.meta.samples, meta.keys() * (meta.bytes_per_key / 256));
+  EXPECT_EQ(lockstep.meta.interleave, kLaneWidth);
+  EXPECT_TRUE(lockstep.cells == ScalarLongTermDigraphCells(meta));
 }
 
 TEST(ShardResumeTest, FinishedShardIsIdempotent) {
