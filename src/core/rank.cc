@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -264,7 +263,22 @@ RankBracket MarkovRank(const DoubleByteTables& transitions, uint8_t m1,
 
 Bytes MarkovBest(const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
                  size_t inner_length, std::span<const uint8_t> alphabet) {
-  assert(transitions.size() == inner_length + 1);
+  if (inner_length == 0) {
+    RankAbort("MarkovBest: the length is zero");
+  }
+  if (transitions.size() != inner_length + 1) {
+    RankAbort("MarkovBest: got %zu transition tables for length %zu, needs %zu",
+              transitions.size(), inner_length, inner_length + 1);
+  }
+  for (size_t t = 0; t <= inner_length; ++t) {
+    if (transitions[t].size() != 65536) {
+      RankAbort("MarkovBest: transition table %zu has %zu entries, needs 65536", t,
+                transitions[t].size());
+    }
+  }
+  if (alphabet.empty()) {
+    RankAbort("MarkovBest: the alphabet is empty");
+  }
   const size_t a_size = alphabet.size();
   std::vector<std::vector<uint32_t>> backptr(inner_length,
                                              std::vector<uint32_t>(a_size, 0));

@@ -57,6 +57,9 @@ RankBracket MarkovRank(const DoubleByteTables& transitions, uint8_t m1,
                        std::span<const uint8_t> alphabet, size_t bins = 1 << 12);
 
 // Viterbi: the single most likely inner plaintext under the same model.
+// Aborts with a message, also in Release builds, on a zero length, a table
+// count other than inner_length + 1, a table without 65536 entries, or an
+// empty alphabet.
 Bytes MarkovBest(const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
                  size_t inner_length, std::span<const uint8_t> alphabet);
 

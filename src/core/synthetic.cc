@@ -1,7 +1,8 @@
 #include "src/core/synthetic.h"
 
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/biases/mantin.h"
 
@@ -36,10 +37,25 @@ std::vector<uint64_t> SampleCounts(std::span<const double> probabilities,
   return counts;
 }
 
+namespace {
+
+// Out of line and cold, so the size check stays one compare in the sampler.
+[[noreturn, gnu::cold, gnu::noinline]] void AbortPairTableSize(size_t size) {
+  std::fprintf(stderr,
+               "SampleCiphertextPairCounts: the keystream table has %zu entries, "
+               "needs 65536\n",
+               size);
+  std::abort();
+}
+
+}  // namespace
+
 std::vector<uint64_t> SampleCiphertextPairCounts(
     std::span<const double> keystream_probs, uint8_t p1, uint8_t p2,
     uint64_t trials, Xoshiro256& rng) {
-  assert(keystream_probs.size() == 65536);
+  if (keystream_probs.size() != 65536) {
+    AbortPairTableSize(keystream_probs.size());
+  }
   const auto keystream_counts = SampleCounts(keystream_probs, trials, rng);
   std::vector<uint64_t> ciphertext_counts(65536);
   for (size_t k1 = 0; k1 < 256; ++k1) {

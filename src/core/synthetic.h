@@ -32,7 +32,8 @@ std::vector<uint64_t> SampleCounts(std::span<const double> probabilities,
 // Ciphertext pair counts for a digraph position: the keystream pair
 // distribution `keystream_probs` (65536 cells) XOR-shifted by the true
 // plaintext pair (p1, p2): count index (c1, c2) holds draws for keystream
-// value (c1 ^ p1, c2 ^ p2).
+// value (c1 ^ p1, c2 ^ p2). Aborts with a message, also in Release builds,
+// if `keystream_probs` does not have 65536 entries.
 std::vector<uint64_t> SampleCiphertextPairCounts(
     std::span<const double> keystream_probs, uint8_t p1, uint8_t p2,
     uint64_t trials, Xoshiro256& rng);

@@ -101,7 +101,7 @@ struct TkipSimAggregate {
   std::vector<std::vector<double>> truth_ranks;
 
   // Field-wise equality: the worker-count bit-exactness checks in tests/sim/
-  // and bench_sim_trials compare whole aggregates with this.
+  // compare whole aggregates with this.
   bool operator==(const TkipSimAggregate&) const = default;
 };
 

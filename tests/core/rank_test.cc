@@ -342,5 +342,19 @@ TEST(RankDeathTest, MarkovRankRejectsBadInputsInEveryBuild) {
                "MarkovRank: the truth lies .* quanta deep, past the 1 bins");
 }
 
+TEST(RankDeathTest, MarkovBestRejectsBadInputsInEveryBuild) {
+  const std::vector<uint8_t> alphabet = {'a', 'b'};
+  EXPECT_DEATH(MarkovBest(RandomTransitions(1, 67), 'X', 'Y', 0, alphabet),
+               "MarkovBest: the length is zero");
+  EXPECT_DEATH(MarkovBest(RandomTransitions(2, 68), 'X', 'Y', 4, alphabet),
+               "MarkovBest: got 2 transition tables for length 4, needs 5");
+  auto short_table = RandomTransitions(5, 69);
+  short_table[3].resize(256);
+  EXPECT_DEATH(MarkovBest(short_table, 'X', 'Y', 4, alphabet),
+               "MarkovBest: transition table 3 has 256 entries, needs 65536");
+  EXPECT_DEATH(MarkovBest(RandomTransitions(5, 70), 'X', 'Y', 4, {}),
+               "MarkovBest: the alphabet is empty");
+}
+
 }  // namespace
 }  // namespace rc4b

@@ -117,6 +117,14 @@ TEST(SyntheticVsExactTest, FmCountsMatchRealRc4Statistics) {
   EXPECT_NEAR(synth_var / synth_mean, 1.0, 0.1);
 }
 
+TEST(SyntheticDeathTest, PairCountsRejectAWrongTableSizeInEveryBuild) {
+  Xoshiro256 rng(11);
+  const std::vector<double> single_byte(256, 1.0 / 256);
+  EXPECT_DEATH(SampleCiphertextPairCounts(single_byte, 0, 0, 1000, rng),
+               "SampleCiphertextPairCounts: the keystream table has 256 entries, "
+               "needs 65536");
+}
+
 TEST(AbsabScoreTableTest, TruthCellElevatedOnAverage) {
   // With many gaps and enough trials, the true differential's aggregated
   // score must exceed the null mean most of the time.

@@ -38,15 +38,21 @@ TkipSimOptions SmallOptions() {
 }
 
 TEST(TkipSimTest, AggregatesBitExactAcrossWorkerCounts) {
+  // Both victims: keystream drawn from the model, and real TKIP key mixing
+  // plus RC4 per frame.
   const TkipTscModel model = StrongModel(0.2);
-  TkipSimOptions options = SmallOptions();
+  for (const bool oracle : {true, false}) {
+    TkipSimOptions options = SmallOptions();
+    options.oracle_model = oracle;
 
-  options.workers = 1;
-  const auto one = RunTkipSimulations(model, options);
-  for (unsigned workers : {2u, 4u}) {
-    options.workers = workers;
-    const auto many = RunTkipSimulations(model, options);
-    EXPECT_TRUE(one == many) << "workers=" << workers;
+    options.workers = 1;
+    const auto one = RunTkipSimulations(model, options);
+    ASSERT_EQ(one.icv_positions[0].size(), options.trials);
+    for (unsigned workers : {2u, 4u}) {
+      options.workers = workers;
+      const auto many = RunTkipSimulations(model, options);
+      EXPECT_TRUE(one == many) << "oracle=" << oracle << " workers=" << workers;
+    }
   }
 }
 
