@@ -4,7 +4,6 @@
 // ciphertext count and reports two-byte recovery rates, plus the no-FM and
 // no-ABSAB baselines.
 #include <cstdio>
-#include <mutex>
 #include <vector>
 
 #include "bench/harness.h"
@@ -12,12 +11,17 @@
 #include "src/biases/mantin.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/likelihood.h"
 #include "src/core/synthetic.h"
+#include "src/sim/runner.h"
 
 namespace rc4b {
 namespace {
+
+struct GapTrial {
+  bool absab_win = false;
+  bool combined_win = false;
+};
 
 int Run(int argc, char** argv) {
   const ScaleFlagSpec scale{.count_flag = "sims",
@@ -54,30 +58,31 @@ int Run(int argc, char** argv) {
       alphas.push_back(AbsabAlpha(g));
       alphas.push_back(AbsabAlpha(g));
     }
-    std::mutex mutex;
+    // Each sim keeps its own seed, (seed, budget, s), not TrialRng's.
+    const auto results = sim::RunTrials<GapTrial>(
+        sim::TrialRunnerOptions{static_cast<uint64_t>(sims), scale_values.workers},
+        [&](uint64_t s, Xoshiro256&) {
+          Xoshiro256 rng(scale_values.seed * 31337 + budget * 997 + s);
+          const uint8_t p1 = rng.Byte(), p2 = rng.Byte();
+          const size_t truth = static_cast<size_t>(p1) * 256 + p2;
+          const auto counts =
+              SampleCiphertextPairCounts(fm_table, p1, p2, trials, rng);
+          auto lambda = DoubleByteLogLikelihoodSparse(counts, trials, fm_model);
+          GapTrial result;
+          if (!alphas.empty()) {
+            const auto absab = SampleAbsabScoreTable(
+                alphas, trials, static_cast<uint16_t>(truth), rng);
+            result.absab_win = ArgMax(absab) == truth;
+            CombineInPlace(lambda, absab);
+          }
+          result.combined_win = ArgMax(lambda) == truth;
+          return result;
+        });
     int absab_wins = 0, combined_wins = 0;
-    ParallelChunks(sims, scale_values.workers,
-                   [&](unsigned, uint64_t begin, uint64_t end) {
-      for (uint64_t s = begin; s < end; ++s) {
-        Xoshiro256 rng(scale_values.seed * 31337 + budget * 997 + s);
-        const uint8_t p1 = rng.Byte(), p2 = rng.Byte();
-        const size_t truth = static_cast<size_t>(p1) * 256 + p2;
-        const auto counts =
-            SampleCiphertextPairCounts(fm_table, p1, p2, trials, rng);
-        auto lambda = DoubleByteLogLikelihoodSparse(counts, trials, fm_model);
-        int local_absab = 0;
-        if (!alphas.empty()) {
-          const auto absab = SampleAbsabScoreTable(
-              alphas, trials, static_cast<uint16_t>(truth), rng);
-          local_absab = ArgMax(absab) == truth ? 1 : 0;
-          CombineInPlace(lambda, absab);
-        }
-        const int local_combined = ArgMax(lambda) == truth ? 1 : 0;
-        std::lock_guard<std::mutex> lock(mutex);
-        absab_wins += local_absab;
-        combined_wins += local_combined;
-      }
-    });
+    for (const GapTrial& result : results) {
+      absab_wins += result.absab_win ? 1 : 0;
+      combined_wins += result.combined_win ? 1 : 0;
+    }
     std::printf("%-12d %13.1f%% %13.1f%%\n", budget, 100.0 * absab_wins / sims,
                 100.0 * combined_wins / sims);
   }

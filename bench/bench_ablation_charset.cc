@@ -4,19 +4,23 @@
 // the unrestricted 256-value space at several ciphertext counts.
 #include <cmath>
 #include <cstdio>
-#include <mutex>
 #include <numeric>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/rank.h"
 #include "src/sim/cookie_sim.h"
+#include "src/sim/runner.h"
 
 namespace rc4b {
 namespace {
+
+struct CharsetTrial {
+  bool win64 = false;
+  bool win256 = false;
+};
 
 int Run(int argc, char** argv) {
   const ScaleFlagSpec scale{.count_flag = "sims",
@@ -53,29 +57,31 @@ int Run(int argc, char** argv) {
   std::printf("%-16s %16s %16s\n", "copies (x2^27)", "64-char", "256-value");
   for (uint64_t copies : {3ull, 5ull, 7ull, 9ull, 11ull}) {
     const uint64_t trials = copies << 27;
+    // Each sim keeps its own seed, (seed, copies, s), not TrialRng's.
+    const auto results = sim::RunTrials<CharsetTrial>(
+        sim::TrialRunnerOptions{static_cast<uint64_t>(sims), scale_values.workers},
+        [&](uint64_t s, Xoshiro256&) {
+          Xoshiro256 rng(scale_values.seed * 7717 + copies * 131 + s);
+          Bytes truth(options.cookie_length);
+          for (auto& b : truth) {
+            b = alphabet64[rng.Below(alphabet64.size())];
+          }
+          const auto transitions =
+              sim::SampleCookieTransitions(context, truth, trials, rng);
+          CharsetTrial result;
+          result.win64 =
+              MarkovRank(transitions, options.m1, options.m_last, truth, alphabet64)
+                  .estimate < budget;
+          result.win256 =
+              MarkovRank(transitions, options.m1, options.m_last, truth, alphabet256)
+                  .estimate < budget;
+          return result;
+        });
     int wins64 = 0, wins256 = 0;
-    std::mutex mutex;
-    ParallelChunks(sims, scale_values.workers,
-                   [&](unsigned, uint64_t begin, uint64_t end) {
-      for (uint64_t s = begin; s < end; ++s) {
-        Xoshiro256 rng(scale_values.seed * 7717 + copies * 131 + s);
-        Bytes truth(options.cookie_length);
-        for (auto& b : truth) {
-          b = alphabet64[rng.Below(alphabet64.size())];
-        }
-        const auto transitions =
-            sim::SampleCookieTransitions(context, truth, trials, rng);
-        const double rank64 =
-            MarkovRank(transitions, options.m1, options.m_last, truth, alphabet64)
-                .estimate;
-        const double rank256 =
-            MarkovRank(transitions, options.m1, options.m_last, truth, alphabet256)
-                .estimate;
-        std::lock_guard<std::mutex> lock(mutex);
-        wins64 += rank64 < budget ? 1 : 0;
-        wins256 += rank256 < budget ? 1 : 0;
-      }
-    });
+    for (const CharsetTrial& result : results) {
+      wins64 += result.win64 ? 1 : 0;
+      wins256 += result.win256 ? 1 : 0;
+    }
     std::printf("%-16llu %15.1f%% %15.1f%%\n",
                 static_cast<unsigned long long>(copies), 100.0 * wins64 / sims,
                 100.0 * wins256 / sims);

@@ -1,12 +1,25 @@
 #include "src/core/likelihood.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace rc4b {
+
+namespace {
+
+// Out of line and cold, so each size check stays one compare in its caller.
+[[noreturn, gnu::cold, gnu::noinline]] void AbortTableSize(const char* function,
+                                                          const char* table,
+                                                          size_t size,
+                                                          size_t needed) {
+  std::fprintf(stderr, "%s: %s has %zu entries, needs %zu\n", function, table,
+               size, needed);
+  std::abort();
+}
+
+}  // namespace
 
 void WalshHadamard256(double* a) {
   for (size_t h = 1; h < 256; h *= 2) {
@@ -56,7 +69,9 @@ std::vector<double> SingleByteLogLikelihood(std::span<const uint64_t> counts,
 std::vector<double> DoubleByteLogLikelihoodSparse(std::span<const uint64_t> counts,
                                                   uint64_t total,
                                                   const SparseDigraphModel& model) {
-  assert(counts.size() == 65536);
+  if (counts.size() != 65536) {
+    AbortTableSize("DoubleByteLogLikelihoodSparse", "counts", counts.size(), 65536);
+  }
   const double log_u = SafeLog(model.unbiased_probability);
   // lambda_mu = total * log(u) + sum over biased keystream cells k of
   //   counts[k XOR mu] * (log p_k - log u),
@@ -81,7 +96,9 @@ std::vector<double> DoubleByteLogLikelihoodSparse(std::span<const uint64_t> coun
 
 std::vector<double> AbsabLogLikelihood(std::span<const uint64_t> diff_counts,
                                        uint64_t total, uint16_t known, double alpha) {
-  assert(diff_counts.size() == 65536);
+  if (diff_counts.size() != 65536) {
+    AbortTableSize("AbsabLogLikelihood", "diff_counts", diff_counts.size(), 65536);
+  }
   const double log_alpha = SafeLog(alpha);
   const double log_other = SafeLog((1.0 - alpha) / 65535.0);
   // Formula (22) in log form, with the uniform-cell part absorbed:
@@ -104,7 +121,9 @@ std::vector<double> AbsabLogLikelihood(std::span<const uint64_t> diff_counts,
 }
 
 void CombineInPlace(std::span<double> accumulator, std::span<const double> other) {
-  assert(accumulator.size() == other.size());
+  if (other.size() != accumulator.size()) {
+    AbortTableSize("CombineInPlace", "other", other.size(), accumulator.size());
+  }
   for (size_t i = 0; i < accumulator.size(); ++i) {
     accumulator[i] += other[i];
   }

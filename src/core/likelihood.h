@@ -59,7 +59,8 @@ std::vector<double> SingleByteLogLikelihood(std::span<const uint64_t> counts,
 // Sparse double-byte likelihood, the optimization of formula (15): all
 // keystream pairs share probability `u` except for the `biased_cells`.
 // Only O(|biased| * 2^16) work — ~2^19 for the Fluhrer–McGrew set, matching
-// the paper's complexity claim.
+// the paper's complexity claim. `counts` must hold 65536 cells; any other
+// size prints a diagnostic and aborts, in every build type.
 std::vector<double> DoubleByteLogLikelihoodSparse(std::span<const uint64_t> counts,
                                                   uint64_t total,
                                                   const SparseDigraphModel& model);
@@ -68,11 +69,13 @@ std::vector<double> DoubleByteLogLikelihoodSparse(std::span<const uint64_t> coun
 // ciphertext differentials with value d (= d1 * 256 + d2); `known` is the
 // known plaintext pair (mu'1 * 256 + mu'2); `alpha` = AbsabAlpha(gap).
 // Returns a double-byte table over the *unknown* pair (mu1, mu2).
+// `diff_counts` must hold 65536 cells; any other size aborts, in every build
+// type.
 std::vector<double> AbsabLogLikelihood(std::span<const uint64_t> diff_counts,
                                        uint64_t total, uint16_t known, double alpha);
 
 // Combines likelihood estimates from multiple bias types by adding their log
-// tables — formula (25). Tables must have equal size.
+// tables — formula (25). Tables of unequal size abort, in every build type.
 void CombineInPlace(std::span<double> accumulator, std::span<const double> other);
 
 // argmax index of a table; 0 for an empty table.

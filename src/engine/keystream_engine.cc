@@ -9,7 +9,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/rc4/keygen.h"
-#include "src/rc4/kernel.h"
 #include "src/rc4/kernel_registry.h"
 #include "src/rc4/rc4.h"
 #include "src/rc4/rc4_multi.h"
@@ -28,8 +27,8 @@ size_t ResolveBatchKeys(size_t requested) {
 // ------------------------------------------------------------------------
 // Short-term batch generation.
 
-// Scalar path (width 1) and the tail of every lockstep group sweep: the
-// pre-kernel reference the bit-exactness tests and benches compare against.
+// Scalar reference path (interleave == 1): one Rc4 per key, the pre-lockstep
+// loop the bit-exactness tests compare the lane path against.
 void FillRowsScalar(Rc4KeyGenerator& keygen, uint64_t drop, uint8_t* out,
                     size_t rows, size_t length) {
   for (size_t r = 0; r < rows; ++r) {
@@ -39,28 +38,6 @@ void FillRowsScalar(Rc4KeyGenerator& keygen, uint64_t drop, uint8_t* out,
     }
     rc4.Keystream(std::span<uint8_t>(out + r * length, length));
   }
-}
-
-// Fills rows [0, rows) of the row-major batch buffer with one keystream per
-// key: groups of Width() rows via the lane kernel (lane m stores straight
-// into row m with stride `length`), then a scalar tail for the remainder.
-// Key order matches the keygen draw order, so the batch is byte-identical
-// to the scalar path for every kernel and width.
-void FillRowsWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
-                        uint64_t drop, uint8_t* out, size_t rows, size_t length,
-                        uint8_t* keybuf) {
-  const size_t lanes = kernel.Width();
-  size_t r = 0;
-  for (; r + lanes <= rows; r += lanes) {
-    const std::span<uint8_t> keys(keybuf, lanes * kKeySize);
-    keygen.NextKeys(keys);
-    kernel.Init(keys, kKeySize);
-    if (drop != 0) {
-      kernel.Skip(drop);
-    }
-    kernel.Keystream(out + r * length, length, length);
-  }
-  FillRowsScalar(keygen, drop, out + r * length, rows - r, length);
 }
 
 // ------------------------------------------------------------------------
@@ -115,11 +92,10 @@ void StreamGroup(Rc4KeyGenerator& keygen, StreamShardSink& sink,
 void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulator) {
   const size_t length = accumulator.KeystreamLength();
   assert(length > 0);
-  // One dispatch decision per run; every shard instantiates its own kernel
-  // object from it (kernels hold per-group state and are not thread-safe).
+  // One width decision per run, shared with perfbench's replay.
   const KernelChoice choice = ResolveKernelChoice(options.kernel, options.interleave);
-  // Batches hold at least one lockstep group so the kernel engages even
-  // with tiny batch_keys settings; counts are batch-size invariant either way.
+  // Batches hold at least one lockstep group so the lanes engage even with
+  // tiny batch_keys settings; counts are batch-size invariant either way.
   const size_t batch_keys =
       std::max<size_t>(ResolveBatchKeys(options.batch_keys), choice.width);
   std::mutex merge_mutex;
@@ -136,10 +112,7 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
       std::lock_guard<std::mutex> lock(merge_mutex);
       sink = accumulator.MakeShard();
     }
-    std::unique_ptr<Rc4LaneKernel> kernel =
-        choice.width > 1 ? choice.kernel->make(choice.width) : nullptr;
-    assert(choice.width == 1 || kernel != nullptr);  // resolution guarantees it
-    std::vector<uint8_t> keybuf(choice.width * kKeySize);
+    std::vector<uint8_t> keys(batch_keys * kKeySize);
     AlignedVector<uint8_t> buffer(batch_keys * length, 0);
     uint64_t unmerged = 0;  // keys consumed since the last MergeShard()
     for (uint64_t k = begin; k < end;) {
@@ -147,9 +120,13 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
       // kMaxKeysPerMerge keys; counts do not depend on batch boundaries.
       const size_t rows = static_cast<size_t>(
           std::min({uint64_t{batch_keys}, end - k, kMaxKeysPerMerge - unmerged}));
-      if (kernel != nullptr) {
-        FillRowsWithKernel(*kernel, keygen, options.drop, buffer.data(), rows,
-                           length, keybuf.data());
+      if (choice.width > 1) {
+        // Keys in keygen draw order, so the batch is byte-identical to the
+        // scalar path.
+        const std::span<uint8_t> batch_key_bytes(keys.data(), rows * kKeySize);
+        keygen.NextKeys(batch_key_bytes);
+        KeystreamRows(batch_key_bytes, kKeySize, options.drop, buffer.data(),
+                      length);
       } else {
         FillRowsScalar(keygen, options.drop, buffer.data(), rows, length);
       }

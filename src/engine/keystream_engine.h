@@ -95,9 +95,9 @@ struct EngineOptions {
   // Keystreams per generated batch; 0 = auto (256).
   size_t batch_keys = 256;
   // 1 = the scalar Rc4 reference path that the bit-exactness tests compare
-  // against; any other value (0 by default) = the kLaneWidth-lane kernel
-  // (src/rc4/rc4_multi.h). Batches are byte-identical either way — the
-  // kernel only reorders the schedule, never the per-key math. This is an
+  // against; any other value (0 by default) = KeystreamRows' kLaneWidth
+  // lanes (src/rc4/rc4_multi.h). Batches are byte-identical either way —
+  // the lanes only reorder the schedule, never the per-key math. This is an
   // oracle switch, not a tuning knob.
   size_t interleave = 0;
   // Lane-kernel name (src/rc4/kernel_registry.h): only "", "auto" and

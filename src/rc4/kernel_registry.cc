@@ -2,41 +2,18 @@
 
 #include <atomic>
 #include <cstdio>
-#include <optional>
 
 #include "src/crypto/aes128.h"
-#include "src/rc4/rc4_multi.h"
 
 namespace rc4b {
 
 namespace {
 
-// Rc4MultiStream behind the kernel interface. Init() re-runs the KSA by
-// re-emplacing the stream object, once per lockstep group.
-template <size_t M>
-class ScalarLaneKernel final : public Rc4LaneKernel {
- public:
-  size_t Width() const override { return M; }
-
-  void Init(std::span<const uint8_t> keys, size_t key_size) override {
-    streams_.emplace(keys, key_size);
-  }
-
-  void Skip(uint64_t n) override { streams_->Skip(n); }
-
-  void Keystream(uint8_t* out, size_t length, size_t stride) override {
-    streams_->Keystream(out, length, stride);
-  }
-
- private:
-  std::optional<Rc4MultiStream<M>> streams_;
-};
-
 std::unique_ptr<Rc4LaneKernel> MakeScalarKernel(size_t width) {
   if (width != kLaneWidth) {
     return nullptr;
   }
-  return std::make_unique<ScalarLaneKernel<kLaneWidth>>();
+  return std::make_unique<Rc4LaneKernel>();
 }
 
 constexpr KernelDesc kScalarKernel = {"scalar", MakeScalarKernel};

@@ -1,23 +1,43 @@
-// The RC4 lane kernel and its dispatch.
+// The lane-width decision and the replay's lane kernel.
 //
-// There is one kernel: the portable round-robin Rc4MultiStream behind the
-// Rc4LaneKernel interface, at kLaneWidth lanes. ResolveKernelChoice maps an
-// interleave setting (0 = the lane kernel, 1 = the scalar reference path) to
-// a lane count; RunKeystreamEngine and perfbench's replay both call it, so
-// they run the same width (RunLongTermEngine uses Rc4MultiStream directly).
-// docs/engine.md records why ISA-specific kernels and other widths were
-// measured and dropped.
+// ResolveKernelChoice maps an interleave setting (0 = the kLaneWidth lanes
+// of KeystreamRows, 1 = the scalar reference path) to a lane count;
+// RunKeystreamEngine and perfbench's replay both call it, so they run the
+// same width. Rc4LaneKernel, built through KernelDesc::make, is only for
+// perfbench's replay: the engines call Rc4MultiStream (src/rc4/rc4_multi.h)
+// directly. ROADMAP item 5 deletes this header after item 1 moves the
+// replay to Rc4MultiStream. docs/engine.md records why ISA-specific kernels
+// and other widths were measured and dropped.
 #ifndef SRC_RC4_KERNEL_REGISTRY_H_
 #define SRC_RC4_KERNEL_REGISTRY_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
-#include "src/rc4/kernel.h"
+#include "src/rc4/rc4_multi.h"
 
 namespace rc4b {
+
+// Rc4MultiStream<kLaneWidth> whose KSA re-runs per lockstep group: Init()
+// re-emplaces the streams, Skip() and Keystream() are Rc4MultiStream's.
+class Rc4LaneKernel {
+ public:
+  size_t Width() const { return kLaneWidth; }
+  void Init(std::span<const uint8_t> keys, size_t key_size) {
+    streams_.emplace(keys, key_size);
+  }
+  void Skip(uint64_t n) { streams_->Skip(n); }
+  void Keystream(uint8_t* out, size_t length, size_t stride) {
+    streams_->Keystream(out, length, stride);
+  }
+
+ private:
+  std::optional<Rc4MultiStream<kLaneWidth>> streams_;
+};
 
 struct KernelDesc {
   std::string_view name;  // "scalar"

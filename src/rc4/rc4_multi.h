@@ -10,10 +10,10 @@
 // scalar Rc4 over the same key; the kernel only changes the schedule, never
 // the math. tests/rc4/rc4_multi_test.cc pins this for every supported M.
 //
-// This is the hot-path kernel under src/engine/keystream_engine.cc. The
-// short-term engine runs it at kLaneWidth and falls back to scalar Rc4 for
-// tail groups smaller than that; the long-term engine runs the leftover keys
-// at M = 1.
+// This is the hot-path kernel under src/engine/keystream_engine.cc. Both
+// engines run it at kLaneWidth and the keys left over after the full groups
+// at M = 1: the short-term engine and the TKIP model through KeystreamRows
+// below, the long-term engine through its own windowed group routine.
 #ifndef SRC_RC4_RC4_MULTI_H_
 #define SRC_RC4_RC4_MULTI_H_
 
@@ -110,6 +110,46 @@ class Rc4MultiStream {
 // width that beats 8: single-byte throughput was 385-399k keys/s at 4,
 // 420-464k at 8, 382-454k at 16 and 327-403k at 32 (docs/engine.md).
 inline constexpr size_t kLaneWidth = 8;
+
+namespace detail {
+
+template <size_t M>
+void KeystreamGroup(const uint8_t* keys, size_t key_size, uint64_t drop,
+                    uint8_t* out, size_t length) {
+  Rc4MultiStream<M> rc4(std::span<const uint8_t>(keys, M * key_size), key_size);
+  if (drop != 0) {
+    rc4.Skip(drop);
+  }
+  rc4.Keystream(out, length, length);
+}
+
+}  // namespace detail
+
+// One keystream row per key: `keys` holds the keys back to back, each
+// `key_size` (1..256) bytes, and row r (out + r * length) gets keystream
+// bytes drop+1 .. drop+length of key r. Full groups run at kLaneWidth, the
+// remaining keys at M = 1, so every row equals a scalar Rc4 over its key. A
+// key span that is not whole keys prints a diagnostic and aborts, in every
+// build type.
+inline void KeystreamRows(std::span<const uint8_t> keys, size_t key_size,
+                          uint64_t drop, uint8_t* out, size_t length) {
+  if (key_size == 0 || keys.size() % key_size != 0) {
+    std::fprintf(stderr,
+                 "KeystreamRows: %zu key bytes are not whole keys of %zu bytes\n",
+                 keys.size(), key_size);
+    std::abort();
+  }
+  const size_t rows = keys.size() / key_size;
+  size_t r = 0;
+  for (; r + kLaneWidth <= rows; r += kLaneWidth) {
+    detail::KeystreamGroup<kLaneWidth>(keys.data() + r * key_size, key_size, drop,
+                                       out + r * length, length);
+  }
+  for (; r < rows; ++r) {
+    detail::KeystreamGroup<1>(keys.data() + r * key_size, key_size, drop,
+                              out + r * length, length);
+  }
+}
 
 }  // namespace rc4b
 

@@ -1,14 +1,14 @@
 #include "src/tkip/tsc_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/likelihood.h"
-#include "src/rc4/rc4.h"
+#include "src/rc4/rc4_multi.h"
 #include "src/tkip/key_mixing.h"
 
 namespace rc4b {
@@ -25,38 +25,45 @@ TkipTscModel::TkipTscModel(size_t first_position, size_t last_position)
 }
 
 void TkipTscModel::Generate(uint64_t keys_per_class, uint64_t seed, unsigned workers) {
+  constexpr size_t kKeySize = 16;
+  constexpr uint64_t kBatchKeys = 256;
   keys_per_class_ = keys_per_class;
   const size_t positions = position_count();
   std::vector<uint64_t> counts(256 * positions * 256, 0);
-  std::mutex merge_mutex;
 
-  // Shard the 256 TSC1 classes across workers.
-  ParallelChunks(256, workers, [&](unsigned w, uint64_t begin, uint64_t end) {
-    (void)w;
-    std::vector<uint64_t> local((end - begin) * positions * 256, 0);
-    std::vector<uint8_t> keystream(last_position_);
+  // Shard the 256 TSC1 classes across workers. Each class counts straight
+  // into its own slice of `counts`, so shards share no cell.
+  ParallelChunks(256, workers, [&](unsigned /*shard*/, uint64_t begin, uint64_t end) {
+    std::vector<uint8_t> keys(kBatchKeys * kKeySize);
+    std::vector<uint8_t> keystream(kBatchKeys * positions);
     for (uint64_t tsc1 = begin; tsc1 < end; ++tsc1) {
       Xoshiro256 rng(seed * 1000003 + tsc1);
-      std::array<uint8_t, 16> key;
       const uint8_t k0 = static_cast<uint8_t>(tsc1);
       const uint8_t k1 = static_cast<uint8_t>((tsc1 | 0x20) & 0x7f);
-      for (uint64_t k = 0; k < keys_per_class; ++k) {
-        key[0] = k0;
-        key[1] = k1;
-        // K2 = TSC0 drawn uniformly: the TSC1-conditional model marginalizes
-        // over TSC0. Remaining bytes model KM's output as uniformly random.
-        rng.Fill(std::span<uint8_t>(key.data() + 2, 14));
-        Rc4 rc4(key);
-        rc4.Keystream(keystream);
-        uint64_t* base = local.data() + (tsc1 - begin) * positions * 256;
-        for (size_t pos = first_position_; pos <= last_position_; ++pos) {
-          base[(pos - first_position_) * 256 + keystream[pos - 1]] += 1;
+      uint64_t* base = counts.data() + tsc1 * positions * 256;
+      for (uint64_t k = 0; k < keys_per_class; k += kBatchKeys) {
+        const auto rows =
+            static_cast<size_t>(std::min(kBatchKeys, keys_per_class - k));
+        for (size_t r = 0; r < rows; ++r) {
+          uint8_t* key = keys.data() + r * kKeySize;
+          key[0] = k0;
+          key[1] = k1;
+          // K2 = TSC0 drawn uniformly: the TSC1-conditional model
+          // marginalizes over TSC0. Remaining bytes model KM's output as
+          // uniformly random.
+          rng.Fill(std::span<uint8_t>(key + 2, kKeySize - 2));
+        }
+        // Row r holds bytes first_position_ .. last_position_ of key r.
+        KeystreamRows(std::span<const uint8_t>(keys.data(), rows * kKeySize),
+                      kKeySize, first_position_ - 1, keystream.data(), positions);
+        for (size_t r = 0; r < rows; ++r) {
+          const uint8_t* row = keystream.data() + r * positions;
+          for (size_t p = 0; p < positions; ++p) {
+            base[p * 256 + row[p]] += 1;
+          }
         }
       }
     }
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    std::copy(local.begin(), local.end(),
-              counts.begin() + begin * positions * 256);
   });
 
   const double denom = static_cast<double>(keys_per_class) + 256.0;

@@ -8,9 +8,11 @@
 // Substitution: we condition on TSC1 only — TSC1 determines
 // the first *two* key bytes (K0 = TSC1, K1 = (TSC1|0x20) & 0x7f) and thus
 // carries the dominant key-structure bias — and marginalize over TSC0 by
-// sampling it uniformly. This shrinks the model from 65536 to 256 classes so
-// it regenerates in minutes; `keys_per_class` scales fidelity, and `SetRow`
-// admits externally trained (including full per-(TSC0, TSC1)) distributions.
+// sampling it uniformly. This shrinks the model from 65536 to 256 classes:
+// at 2^14 keys per class it generates in about half a second on 4 cores,
+// through the engine's lockstep key loop (KeystreamRows, src/rc4/rc4_multi.h).
+// `keys_per_class` scales fidelity, and `SetRow` admits externally trained
+// (including full per-(TSC0, TSC1)) distributions.
 #ifndef SRC_TKIP_TSC_MODEL_H_
 #define SRC_TKIP_TSC_MODEL_H_
 

@@ -197,6 +197,21 @@ TEST(LikelihoodDeathTest, SingleByteRejectsWrongSizes) {
                "got 256 counts and 257 log probabilities, needs 256 of each");
 }
 
+TEST(LikelihoodDeathTest, DoubleByteTablesRejectWrongSizesInEveryBuild) {
+  // A single-byte table where a pair table belongs: the sparse loop would
+  // read counts[c1 * 256 + ...] far past its end.
+  const std::vector<uint64_t> single_byte(256, 1);
+  const SparseDigraphModel model = FmSparseModel(17, 1 << 20);
+  EXPECT_DEATH(DoubleByteLogLikelihoodSparse(single_byte, 256, model),
+               "DoubleByteLogLikelihoodSparse: counts has 256 entries, needs 65536");
+  EXPECT_DEATH(AbsabLogLikelihood(single_byte, 256, 0, AbsabAlpha(0)),
+               "AbsabLogLikelihood: diff_counts has 256 entries, needs 65536");
+  std::vector<double> pair_table(65536, 0.0);
+  const std::vector<double> single_table(256, 0.0);
+  EXPECT_DEATH(CombineInPlace(pair_table, single_table),
+               "CombineInPlace: other has 256 entries, needs 65536");
+}
+
 TEST(LikelihoodTest, ArgMaxIsSafeOnEmptySpan) {
   EXPECT_EQ(ArgMax(std::span<const double>()), 0u);
   const std::vector<double> one = {3.5};

@@ -20,7 +20,7 @@ namespace {
 // kernel be the only long-term producer and the default short-term one.
 
 constexpr unsigned kWorkerCounts[] = {1, 2, 4};
-// Key and batch counts that leave scalar tails after the lockstep groups.
+// Key and batch counts that leave one-lane tails after the lockstep groups.
 constexpr uint64_t kShortTermKeys = 1037;
 constexpr size_t kBatchKeys = 45;
 static_assert(kShortTermKeys % kLaneWidth != 0 && kBatchKeys % kLaneWidth != 0);

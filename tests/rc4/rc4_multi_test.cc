@@ -145,6 +145,49 @@ TEST(Rc4MultiStreamDeathTest, KeyBufferOfWrongSizeAborts) {
                "Rc4MultiStream: got 0 key bytes for 8 keys of 0 bytes");
 }
 
+// KeystreamRows: the short-term engine's and the TKIP model's key loop. Row
+// counts straddle the lane width (full groups, M = 1 remainders, both), key
+// sizes include one the KSA cycles, and bytes past the last row stay
+// untouched.
+TEST(KeystreamRowsTest, EveryRowMatchesScalar) {
+  constexpr uint8_t kGuard = 0xAA;
+  constexpr size_t kGuardBytes = 16;
+  for (const size_t key_size : {size_t{16}, size_t{5}}) {
+    for (const size_t rows : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{17}}) {
+      for (const uint64_t drop : {uint64_t{0}, uint64_t{1}, uint64_t{256}}) {
+        for (const size_t length : {size_t{1}, size_t{16}, size_t{67}}) {
+          const Bytes keys =
+              RandomKeys(rows, key_size, rows * 1000 + drop * 10 + length + key_size);
+          Bytes out(rows * length + kGuardBytes, kGuard);
+          KeystreamRows(keys, key_size, drop, out.data(), length);
+          for (size_t r = 0; r < rows; ++r) {
+            const auto key =
+                std::span<const uint8_t>(keys).subspan(r * key_size, key_size);
+            const Bytes expected = ScalarReference(key, drop, length);
+            const Bytes actual(out.begin() + r * length,
+                               out.begin() + (r + 1) * length);
+            ASSERT_EQ(actual, expected)
+                << "key_size=" << key_size << " rows=" << rows << " row=" << r
+                << " drop=" << drop << " length=" << length;
+          }
+          for (size_t t = rows * length; t < out.size(); ++t) {
+            ASSERT_EQ(out[t], kGuard) << "rows=" << rows << " length=" << length;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KeystreamRowsDeathTest, KeySpanOfPartialKeysAborts) {
+  const Bytes keys(17);
+  Bytes out(64);
+  EXPECT_DEATH(KeystreamRows(keys, 16, 0, out.data(), 4),
+               "KeystreamRows: 17 key bytes are not whole keys of 16 bytes");
+  EXPECT_DEATH(KeystreamRows(keys, 0, 0, out.data(), 4),
+               "KeystreamRows: 17 key bytes are not whole keys of 0 bytes");
+}
+
 // ------------------------------------------------------------------------
 // Lane-kernel dispatch (src/rc4/kernel_registry.h). The last test sets
 // process-wide environment variables; gtest runs this binary's tests

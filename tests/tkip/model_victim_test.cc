@@ -1,7 +1,12 @@
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/rc4/rc4.h"
 #include "src/tkip/injection.h"
 #include "src/tkip/tsc_model.h"
 
@@ -117,6 +122,67 @@ TEST(TscModelTest, GenerateProducesNormalizedRows) {
                                  static_cast<uint8_t>(v));
       }
       EXPECT_NEAR(sum, 1.0, 1e-9) << "tsc1 " << tsc1 << " pos " << pos;
+    }
+  }
+}
+
+// TkipTscModel::Generate as a per-key scalar loop: class tsc1 seeds
+// Xoshiro256(seed * 1000003 + tsc1), and each key is (tsc1,
+// (tsc1 | 0x20) & 0x7f) followed by 14 bytes of that generator. Returns the
+// Laplace-smoothed log-probabilities in LogRow order, [tsc1][pos][value].
+std::vector<double> ScalarKeyLoopModel(size_t first, size_t last,
+                                       uint64_t keys_per_class, uint64_t seed) {
+  const size_t positions = last - first + 1;
+  std::vector<uint64_t> counts(256 * positions * 256, 0);
+  Bytes keystream(last);
+  for (uint64_t tsc1 = 0; tsc1 < 256; ++tsc1) {
+    Xoshiro256 rng(seed * 1000003 + tsc1);
+    std::array<uint8_t, 16> key;
+    for (uint64_t k = 0; k < keys_per_class; ++k) {
+      key[0] = static_cast<uint8_t>(tsc1);
+      key[1] = static_cast<uint8_t>((tsc1 | 0x20) & 0x7f);
+      rng.Fill(std::span<uint8_t>(key.data() + 2, 14));
+      Rc4 rc4(key);
+      rc4.Keystream(keystream);
+      for (size_t pos = first; pos <= last; ++pos) {
+        counts[(tsc1 * positions + (pos - first)) * 256 + keystream[pos - 1]] += 1;
+      }
+    }
+  }
+  std::vector<double> log_p(counts.size());
+  const double denom = static_cast<double>(keys_per_class) + 256.0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    log_p[i] = std::log((static_cast<double>(counts[i]) + 1.0) / denom);
+  }
+  return log_p;
+}
+
+TEST(TscModelTest, GenerateMatchesScalarKeyLoop) {
+  // 37 keys per class are 4 lockstep groups and 5 one-lane keys; 300 span
+  // two key batches. Every row must match bit for bit at any worker count.
+  struct Range {
+    size_t first, last;
+  };
+  for (const Range range : {Range{3, 19}, Range{1, 1}}) {
+    for (const uint64_t keys_per_class : {uint64_t{37}, uint64_t{300}}) {
+      const std::vector<double> expected =
+          ScalarKeyLoopModel(range.first, range.last, keys_per_class, 9);
+      for (const unsigned workers : {1u, 3u}) {
+        TkipTscModel model(range.first, range.last);
+        model.Generate(keys_per_class, 9, workers);
+        for (int tsc1 = 0; tsc1 < 256; ++tsc1) {
+          for (size_t pos = range.first; pos <= range.last; ++pos) {
+            const size_t row =
+                static_cast<size_t>(tsc1) * model.position_count() + (pos - range.first);
+            ASSERT_EQ(std::memcmp(model.LogRow(static_cast<uint8_t>(tsc1), pos),
+                                  expected.data() + row * 256, 256 * sizeof(double)),
+                      0)
+                << "positions [" << range.first << ", " << range.last
+                << "] keys " << keys_per_class << " workers " << workers
+                << " tsc1 " << tsc1 << " pos " << pos;
+          }
+        }
+      }
     }
   }
 }
